@@ -4,8 +4,8 @@ Commands: synth-corpus, extract, train, grid-search, evaluate, classify,
 listen. Every command takes --out for its artifacts and writes a
 run_metadata.json echoing the configuration, the seed and timings.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-error.
+Exit codes: 0 success, 2 configuration error, 3 data error (including any
+OSError on an input or output path), 4 numerical error.
 """
 
 from __future__ import annotations
@@ -579,7 +579,7 @@ def main(argv: list[str] | None = None) -> int:
     except DetectorError as exc:  # pragma: no cover - base-class fallback
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, unreadable or not-a-file paths
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

@@ -99,19 +99,24 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
     if c.size >= 2:
         monic = c / c[0]
         deg = monic.size - 1
-        companion = np.zeros((deg, deg), dtype=np.complex128)
+        companion = np.eye(deg, k=-1, dtype=np.complex128)
         companion[0, :] = -monic[1:]
-        companion[1:, :-1] = np.eye(deg - 1)
         roots = np.concatenate([np.linalg.eigvals(companion), roots])
-    degree = c.size - 1 + tail
+    # one Horner pass over all roots for p(r) and for the bound sum_i |c_i| |r|^(deg-i)
     full = np.concatenate([c, np.zeros(tail, dtype=np.complex128)])
-    for r in roots:
-        residual = np.abs(np.polyval(full, r))
-        scale = np.polyval(np.abs(full), max(np.abs(r), 1e-300))
-        if residual > residual_tol * scale:
-            raise NumericalFailure(
-                f"root {r} residual {residual:.3e} exceeds {residual_tol:.0e} * scale {scale:.3e}"
-            )
+    radii = np.maximum(np.abs(roots), 1e-300)
+    value = np.zeros_like(roots)
+    scale = np.zeros_like(radii)
+    for coefficient, magnitude in zip(full, np.abs(full)):
+        value = value * roots + coefficient
+        scale = scale * radii + magnitude
+    residual = np.abs(value)
+    failed = np.nonzero(residual > residual_tol * scale)[0]
+    if failed.size:
+        i = failed[0]
+        raise NumericalFailure(
+            f"root {roots[i]} residual {residual[i]:.3e} exceeds {residual_tol:.0e} * scale {scale[i]:.3e}"
+        )
     return roots
 
 
@@ -133,17 +138,12 @@ def formants(roots: np.ndarray, sample_rate: int) -> FormantPair:
     400 Hz bandwidth are discarded; the two lowest survivors are returned,
     padded with 0.
     """
-    candidates = []
-    for r in np.asarray(roots, dtype=np.complex128):
-        angle = np.angle(r)
-        mag = np.abs(r)
-        if not (0.0 < angle < np.pi) or mag <= 0.0:
-            continue
-        freq = angle * sample_rate / (2.0 * np.pi)
-        bandwidth = -(sample_rate / np.pi) * np.log(mag)
-        if freq < FORMANT_MIN_HZ or bandwidth > FORMANT_MAX_BANDWIDTH_HZ:
-            continue
-        candidates.append(freq)
-    candidates.sort()
-    candidates += [0.0, 0.0]
+    roots = np.asarray(roots, dtype=np.complex128)
+    angle = np.angle(roots)
+    freq = angle * sample_rate / (2.0 * np.pi)
+    # freq >= FORMANT_MIN_HZ > 0 implies angle > 0, hence |r| > 0
+    upper = (freq >= FORMANT_MIN_HZ) & (angle < np.pi)
+    bandwidth = -(sample_rate / np.pi) * np.log(np.abs(roots[upper]))
+    kept = freq[upper][bandwidth <= FORMANT_MAX_BANDWIDTH_HZ]
+    candidates = np.sort(kept).tolist() + [0.0, 0.0]
     return FormantPair(f1=candidates[0], f2=candidates[1])

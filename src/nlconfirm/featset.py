@@ -38,7 +38,7 @@ from .dsp import (
     polynomial_roots,
 )
 from .dsp.savgol import sg_at
-from .errors import DegenerateFrame, SegmentTooShort
+from .errors import DegenerateFrame, NumericalFailure, SegmentTooShort
 
 STACK_DEPTH = 15          # frames per stack / SD window
 DELTA_CONTEXT = 7         # Savitzky-Golay filter length
@@ -147,11 +147,17 @@ def emitted_count(config: FeatureSetConfig | FeatureKind, n_frames: int) -> int:
 
 
 def _formant_pair(windowed: np.ndarray) -> np.ndarray:
+    """(F1, F2) of one windowed frame.
+
+    A frame that cannot give formants yields the zero pair (both formants
+    absent) instead of aborting the stream: a zero-energy frame
+    (DegenerateFrame) or one whose LPC roots miss the residual bound
+    (NumericalFailure).
+    """
     try:
-        prediction = lpc(windowed)
-    except DegenerateFrame:
+        roots = fix_roots(polynomial_roots(lpc_polynomial(lpc(windowed))))
+    except (DegenerateFrame, NumericalFailure):
         return np.zeros(2)
-    roots = fix_roots(polynomial_roots(lpc_polynomial(prediction)))
     return formants(roots, SAMPLE_RATE).as_array()
 
 

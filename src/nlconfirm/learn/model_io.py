@@ -160,11 +160,37 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
     Path(path).write_bytes(bytes(blob))
 
 
+def _check_numbers(normalizer: NormalizerStats, svm: SvmModel, pca: PcaTransform | None) -> None:
+    """CorruptModel for numbers no trained model can hold: they would score NaN or inf."""
+    arrays = {
+        "normalizer mean": normalizer.mean,
+        "normalizer std": normalizer.std,
+        "svm alphas": svm.alphas_signed,
+        "svm support vectors": svm.support_vectors,
+        "svm gamma": np.array(svm.gamma),
+        "svm bias": np.array(svm.bias),
+    }
+    if pca is not None:
+        arrays.update({
+            "pca mean": pca.mean,
+            "pca basis": pca.basis,
+            "pca eigenvalues": pca.eigenvalues,
+        })
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise CorruptModel(f"non-finite value in {name}")
+    if np.any(normalizer.std <= 0.0):
+        raise CorruptModel("normalizer std must be positive")
+    if svm.gamma <= 0.0:
+        raise CorruptModel(f"svm gamma must be positive, got {svm.gamma}")
+
+
 def load_model(path: str | Path) -> ModelBundle:
     """Load a bundle written by save_model.
 
     Raises VersionMismatch for a wrong magic/version and CorruptModel for
-    truncated or inconsistent content.
+    truncated or inconsistent content, including non-finite numbers, a
+    non-positive normalizer std or a non-positive RBF gamma.
     """
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
@@ -202,6 +228,7 @@ def load_model(path: str | Path) -> ModelBundle:
         r = _Reader(sections["pca"])
         (epsilon,) = struct.unpack("<d", r.take(8))
         pca = PcaTransform(epsilon=epsilon, mean=r.array(), basis=r.array(), eigenvalues=r.array())
+    _check_numbers(normalizer, svm, pca)
     try:
         return ModelBundle(
             feature_config=feature_config,

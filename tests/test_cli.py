@@ -186,3 +186,9 @@ def test_train_no_normalize_identity_stats(corpus_dir, tmp_path):
     bundle = load_model(out / "model.nlcm")
     assert np.array_equal(bundle.normalizer.mean, np.zeros(2))
     assert np.array_equal(bundle.normalizer.std, np.ones(2))
+
+
+def test_exit_code_directory_as_manifest(tmp_path):
+    # IsADirectoryError (an OSError, not a FileNotFoundError) is a data error too
+    assert run("evaluate", "--manifest", tmp_path, "--features", "mfcc",
+               "--out", tmp_path / "o") == 3

@@ -190,3 +190,126 @@ class TestResonatorRecovery:
             fp = formants(fix_roots(polynomial_roots(lpc_polynomial(lpc(frame)))), FS)
             assert abs(fp.f1 - f1) < 50, (f1, f2, fp)
             assert abs(fp.f2 - f2) < 50, (f1, f2, fp)
+
+
+def _reference_roots(coefficients, residual_tol):
+    """Companion-matrix roots, each checked with its own np.polyval residual."""
+    c = np.atleast_1d(np.asarray(coefficients, dtype=np.complex128))
+    c = c[np.nonzero(np.abs(c) > 0.0)[0][0]:]
+    tail = 0
+    while np.abs(c[-1]) == 0.0:
+        c = c[:-1]
+        tail += 1
+    roots = np.zeros(tail, dtype=np.complex128)
+    if c.size >= 2:
+        monic = c / c[0]
+        deg = monic.size - 1
+        companion = np.zeros((deg, deg), dtype=np.complex128)
+        companion[0, :] = -monic[1:]
+        companion[1:, :-1] = np.eye(deg - 1)
+        roots = np.concatenate([np.linalg.eigvals(companion), roots])
+    full = np.concatenate([c, np.zeros(tail, dtype=np.complex128)])
+    for r in roots:
+        residual = np.abs(np.polyval(full, r))
+        scale = np.polyval(np.abs(full), max(np.abs(r), 1e-300))
+        if residual > residual_tol * scale:
+            return roots, (
+                f"root {r} residual {residual:.3e} exceeds {residual_tol:.0e} * scale {scale:.3e}"
+            )
+    return roots, None
+
+
+def _reference_formants(roots, sample_rate):
+    """Formant picking one root at a time."""
+    candidates = []
+    for r in np.asarray(roots, dtype=np.complex128):
+        angle = np.angle(r)
+        mag = np.abs(r)
+        if not (0.0 < angle < np.pi) or mag <= 0.0:
+            continue
+        freq = angle * sample_rate / (2.0 * np.pi)
+        bandwidth = -(sample_rate / np.pi) * np.log(mag)
+        if freq < 90.0 or bandwidth > 400.0:
+            continue
+        candidates.append(freq)
+    candidates.sort()
+    candidates += [0.0, 0.0]
+    return np.array(candidates[:2])
+
+
+@st.composite
+def degree_12_polynomials(draw):
+    """Real degree-12 coefficients, highest power first, with 0-3 trailing zeros."""
+    lead = draw(st.floats(0.1, 10.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    rest = draw(st.lists(st.floats(-10.0, 10.0), min_size=12, max_size=12))
+    tail = draw(st.integers(0, 3))
+    return np.array([lead] + rest[: 12 - tail] + [0.0] * tail)
+
+
+class TestResidualCheckOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(degree_12_polynomials(), st.sampled_from([1e-300, 1e-15, 1e-14, 1e-13, 1e-6]))
+    def test_raises_exactly_when_a_root_misses_the_bound(self, coefficients, tol):
+        want_roots, want_failure = _reference_roots(coefficients, tol)
+        if want_failure is None:
+            got = polynomial_roots(coefficients, residual_tol=tol)
+            assert got.tobytes() == want_roots.tobytes()
+        else:
+            with pytest.raises(NumericalFailure) as excinfo:
+                polynomial_roots(coefficients, residual_tol=tol)
+            assert str(excinfo.value) == want_failure
+
+    def test_lpc_frames_match_reference(self):
+        window = make_window(WindowKind.HANN, 400)
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            sig = resonator_signal(rng.uniform(300, 900), rng.uniform(1000, 2500))
+            poly = lpc_polynomial(lpc(apply_window(sig[2400:2800], window)))
+            want, failure = _reference_roots(poly, 1e-6)
+            assert failure is None
+            assert polynomial_roots(poly).tobytes() == want.tobytes()
+
+
+def _polar(freq_hz, mag):
+    return mag * np.exp(1j * 2 * np.pi * freq_hz / FS)
+
+
+_root_kinds = st.one_of(
+    st.builds(_polar, st.floats(90.0, 8000.0), st.floats(0.93, 1.0)),   # kept, up to Nyquist
+    st.builds(_polar, st.floats(0.5, 89.99), st.floats(0.93, 1.0)),     # below 90 Hz
+    st.builds(_polar, st.floats(90.0, 8000.0), st.floats(0.05, 0.92)),  # wider than 400 Hz
+    st.builds(_polar, st.floats(-7990.0, -0.5), st.floats(0.05, 1.0)),  # lower half plane
+    st.builds(complex, st.floats(-1.0, 1.0), st.just(0.0)),             # on the real axis
+    st.just(0j),
+)
+
+
+class TestFormantsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_root_kinds, min_size=0, max_size=14))
+    def test_equals_scalar_loop(self, roots):
+        roots = np.array(roots, dtype=np.complex128)
+        got = formants(roots, FS).as_array()
+        assert got.tobytes() == _reference_formants(roots, FS).tobytes()
+
+    def test_equals_scalar_loop_on_conjugate_pairs(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            upper = _polar(rng.uniform(0, 8000, 6), rng.uniform(0.5, 1.0, 6))
+            roots = np.concatenate([upper, np.conj(upper)])
+            got = formants(roots, FS).as_array()
+            assert got.tobytes() == _reference_formants(roots, FS).tobytes()
+
+    def test_candidate_exactly_at_low_cut_is_kept(self):
+        # nudge the angle until the computed frequency is exactly 90 Hz
+        start = 2 * np.pi * 90.0 / FS
+        for step in range(-200, 200):
+            angle = start + step * np.spacing(start)
+            root = complex(0.99 * np.cos(angle), 0.99 * np.sin(angle))
+            if np.angle(root) * FS / (2.0 * np.pi) == 90.0:
+                break
+        else:
+            raise AssertionError("no root with a computed frequency of exactly 90 Hz")
+        roots = np.array([root, np.conj(root)])
+        assert formants(roots, FS).as_array().tobytes() == _reference_formants(roots, FS).tobytes()
+        assert formants(roots, FS).f1 == 90.0

@@ -1,6 +1,7 @@
 """Model bundle serialization round-trips and error paths."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,3 +134,42 @@ def test_dimension_chain_enforced():
             pca=None,
             svm=good.svm,
         )
+
+
+def _patched(bundle: ModelBundle, part: str, **fields) -> ModelBundle:
+    return replace(bundle, **{part: replace(getattr(bundle, part), **fields)})
+
+
+def _first_set(a: np.ndarray, value: float) -> np.ndarray:
+    out = a.copy()
+    out.flat[0] = value
+    return out
+
+
+_BAD_NUMBERS = {
+    "nan_normalizer_mean": lambda b: _patched(b, "normalizer", mean=_first_set(b.normalizer.mean, np.nan)),
+    "inf_normalizer_std": lambda b: _patched(b, "normalizer", std=_first_set(b.normalizer.std, np.inf)),
+    "nan_svm_alpha": lambda b: _patched(b, "svm", alphas_signed=_first_set(b.svm.alphas_signed, np.nan)),
+    "inf_support_vector": lambda b: _patched(b, "svm", support_vectors=_first_set(b.svm.support_vectors, -np.inf)),
+    "nan_pca_mean": lambda b: _patched(b, "pca", mean=_first_set(b.pca.mean, np.nan)),
+    "nan_pca_basis": lambda b: _patched(b, "pca", basis=_first_set(b.pca.basis, np.nan)),
+    "inf_pca_eigenvalue": lambda b: _patched(b, "pca", eigenvalues=_first_set(b.pca.eigenvalues, np.inf)),
+    "nan_bias": lambda b: _patched(b, "svm", bias=float("nan")),
+    "inf_bias": lambda b: _patched(b, "svm", bias=float("inf")),
+    "nan_gamma": lambda b: _patched(b, "svm", gamma=float("nan")),
+    "zero_std": lambda b: _patched(b, "normalizer", std=_first_set(b.normalizer.std, 0.0)),
+    "negative_std": lambda b: _patched(b, "normalizer", std=_first_set(b.normalizer.std, -1.0)),
+    "zero_gamma": lambda b: _patched(b, "svm", gamma=0.0),
+    "negative_gamma": lambda b: _patched(b, "svm", gamma=-0.05),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_NUMBERS))
+def test_bad_numbers_rejected(tmp_path, case):
+    good = make_bundle(FeatureKind.STACKED_PITCH)  # has a PCA section
+    path = tmp_path / "model.nlcm"
+    save_model(good, path)
+    load_model(path)  # the unpatched model loads
+    save_model(_BAD_NUMBERS[case](good), path)
+    with pytest.raises(CorruptModel):
+        load_model(path)

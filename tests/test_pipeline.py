@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from nlconfirm import featset
 from nlconfirm.corpus import FRAME_LEN, Label, frame_stream
-from nlconfirm.errors import SegmentTooShort
+from nlconfirm.dsp import WindowKind, apply_window, make_window
+from nlconfirm.errors import NumericalFailure, SegmentTooShort
 from nlconfirm.featset import FeatureKind
 from nlconfirm.pipeline import (
     OnlineClassifier,
@@ -169,6 +171,25 @@ class TestWarmupAndReset:
         segment = make_segment(np.zeros(FRAME_LEN + 160 * 5))  # 6 frames < context 15
         with pytest.raises(SegmentTooShort):
             classify_offline([segment], formant_bundle)
+
+    def test_root_failure_zero_fills_and_keeps_streaming(self, formant_bundle, monkeypatch):
+        def fail(coefficients):
+            raise NumericalFailure("forced residual failure")
+
+        monkeypatch.setattr(featset, "polynomial_roots", fail)
+        frames = frame_stream(_random_segment(np.random.default_rng(6), voiced=True))
+        window = make_window(WindowKind.HANN, FRAME_LEN)
+        pair = featset._formant_pair(apply_window(frames[0].samples, window))
+        assert np.array_equal(pair, np.zeros(2))
+
+        classifier = OnlineClassifier(formant_bundle)
+        for frame in frames:
+            classifier.push_frame(frame)
+        classifier.finish_segment()
+        decision = classifier.decision()
+        assert classifier.state.votes_cast == len(frames) - 14
+        assert np.array_equal(decision.frame_indices, np.arange(14, len(frames)))
+        assert np.all(decision.frame_scores == formant_bundle.decide(np.zeros(30)))
 
 
 def test_trigger_time():
