@@ -66,8 +66,6 @@ from .evaluate import (
     CvReport,
     EvalReport,
     RocCurve,
-    balance_frames,
-    louo_cv,
     roc_auc,
     segment_metrics,
 )

@@ -35,6 +35,7 @@ from .evaluate import (
     CvReport,
     EvalReport,
     frame_metrics,
+    label_sign,
     roc_auc,
     segment_metrics,
     speaker_frames,
@@ -42,16 +43,14 @@ from .evaluate import (
 from .featset import FeatureKind, FeatureSetConfig, extract, feature_matrix
 from .learn import (
     DEFAULT_SVM_PARAMS,
-    ModelBundle,
     SvmHyperParams,
     grid_search,
     load_model,
     save_model,
     save_model_json,
-    train_svm,
 )
-from .learn.cv_core import SpeakerFrames, balance_classes, fit_transform_chain, run_louo_folds
-from .pipeline import OnlineClassifier, decision_from_scores, segment_score, trigger_time_ms
+from .learn.cv_core import fit_bundle, run_louo_folds
+from .pipeline import classify_offline, classify_segment, segment_score, trigger_time_ms
 from .synth import SynthConfig, generate_corpus
 
 PCA_EPSILON = 0.95
@@ -115,43 +114,6 @@ def _explicit_params(args: argparse.Namespace) -> SvmHyperParams | None:
         raise ConfigError(str(exc)) from exc
 
 
-def _train_bundle(
-    speakers: list[SpeakerFrames],
-    kind: FeatureKind,
-    params: SvmHyperParams,
-    seed: int,
-    pca_epsilon: float,
-    normalize: bool = True,
-) -> ModelBundle:
-    config = FeatureSetConfig(kind)
-    if not speakers:
-        raise DataError("no usable training data (no speaker with confirmations)")
-    x = np.concatenate([s.vectors for s in speakers])
-    y = np.concatenate([s.labels for s in speakers])
-    bal_x, bal_y = balance_classes(x, y, seed)
-    normalizer, pca, projected = fit_transform_chain(bal_x, config.uses_pca, pca_epsilon,
-                                                     normalize=normalize)
-    svm = train_svm(projected, bal_y, params)
-    return ModelBundle(
-        feature_config=config,
-        hyperparams=params,
-        normalizer=normalizer,
-        pca=pca,
-        svm=svm,
-    )
-
-
-def _segment_features(segments, config):
-    """(segment, matrix, frame_indices) for every segment long enough to score."""
-    out = []
-    for seg in segments:
-        frames = frame_stream(seg)
-        vectors = extract(frames, config)
-        indices = np.array([v.frame_index for v in vectors])
-        out.append((seg, feature_matrix(vectors), indices))
-    return out
-
-
 # --- commands -----------------------------------------------------------------
 
 
@@ -177,7 +139,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     feature_dir = ctx.out_dir / "features"
     feature_dir.mkdir(parents=True, exist_ok=True)
     index = []
-    for seg, matrix, frame_indices in _segment_features(segments, config):
+    for seg in segments:
+        vectors = extract(frame_stream(seg), config)
+        matrix = feature_matrix(vectors)
         name = f"{seg.segment_id}.csv"
         with (feature_dir / name).open("w") as fh:
             fh.write(",".join(f"f{i}" for i in range(matrix.shape[1])) + "\n")
@@ -189,7 +153,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             "speaker_id": seg.speaker_id,
             "label": seg.label.value if seg.label else None,
             "rows": int(matrix.shape[0]),
-            "first_frame_index": int(frame_indices[0]),
+            "first_frame_index": vectors[0].frame_index,
         })
     sidecar = {"config": config.to_dict(), "segments": index}
     (ctx.out_dir / "features.json").write_text(json.dumps(sidecar, indent=2))
@@ -206,16 +170,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     params = _explicit_params(args)
     searched = None
     if params is None and args.grid_search:
-        result = grid_search(
-            speakers, use_pca=config.uses_pca,
-            pca_epsilon=args.pca_epsilon, seed=args.seed,
-        )
+        result = grid_search(speakers, config, pca_epsilon=args.pca_epsilon, seed=args.seed)
         params = result.best
         searched = result
     if params is None:
         params = DEFAULT_SVM_PARAMS[kind]
-    bundle = _train_bundle(speakers, kind, params, args.seed, args.pca_epsilon,
-                           normalize=not args.no_normalize)
+    bundle = fit_bundle(speakers, config, params, seed=args.seed, pca_epsilon=args.pca_epsilon)
     model_path = ctx.out_dir / args.model_name
     save_model(bundle, model_path)
     save_model_json(bundle, model_path.with_suffix(model_path.suffix + ".json"))
@@ -235,9 +195,7 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
     config = FeatureSetConfig(kind)
     segments = load_segments(args.manifest)
     speakers = speaker_frames(segments, config)
-    result = grid_search(
-        speakers, use_pca=config.uses_pca, pca_epsilon=args.pca_epsilon, seed=args.seed
-    )
+    result = grid_search(speakers, config, pca_epsilon=args.pca_epsilon, seed=args.seed)
     rows = []
     print(f"{'C':>6} {'eps':>7} {'gamma':>7} {'weighted CV accuracy':>22}")
     for point in result.points:
@@ -263,33 +221,23 @@ def _evaluate_kind(
     params = _explicit_params(args)
     speakers = speaker_frames(train_segments, config)
     if args.grid_search and params is None:
-        params = grid_search(
-            speakers, use_pca=config.uses_pca, pca_epsilon=args.pca_epsilon, seed=args.seed
-        ).best
+        params = grid_search(speakers, config, pca_epsilon=args.pca_epsilon, seed=args.seed).best
     if params is None:
         params = DEFAULT_SVM_PARAMS[kind]
     cv = CvReport(folds=run_louo_folds(
-        speakers, params, use_pca=config.uses_pca,
-        pca_epsilon=args.pca_epsilon, seed=args.seed,
+        speakers, config, params, pca_epsilon=args.pca_epsilon, seed=args.seed
     ))
-    bundle = _train_bundle(speakers, kind, params, args.seed, args.pca_epsilon,
-                           normalize=not args.no_normalize)
+    bundle = fit_bundle(speakers, config, params, seed=args.seed, pca_epsilon=args.pca_epsilon)
 
-    all_scores, all_labels, decisions, truth = [], [], [], []
-    for seg, matrix, frame_indices in _segment_features(test_segments, config):
-        scores = bundle.decide_many(matrix)
-        all_scores.append(scores)
-        all_labels.append(np.full(scores.size, 1 if seg.label is Label.CONFIRMATION else -1))
-        decisions.append(decision_from_scores(
-            seg.segment_id, frame_indices, scores, args.majority_threshold
-        ))
-        truth.append(seg.label)
-    scores = np.concatenate(all_scores)
-    labels = np.concatenate(all_labels)
+    decisions = classify_offline(test_segments, bundle, args.majority_threshold)
+    truth = [seg.label for seg in test_segments]
+    scores = np.concatenate([d.frame_scores for d in decisions])
+    labels = np.concatenate([np.full(d.frame_scores.size, label_sign(t))
+                             for d, t in zip(decisions, truth)])
     seg_roc = None
     if args.segment_roc:
         seg_scores = np.array([segment_score(d) for d in decisions])
-        seg_labels = np.array([1 if t is Label.CONFIRMATION else -1 for t in truth])
+        seg_labels = np.array([label_sign(t) for t in truth])
         seg_roc = roc_auc(seg_scores, seg_labels)
     return EvalReport(
         feature_kind=kind.value,
@@ -344,11 +292,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     frame_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for segment in segments:
-        classifier = OnlineClassifier(bundle, args.majority_threshold)
-        for frame in frame_stream(segment):
-            classifier.push_frame(frame)
-        classifier.finish_segment()
-        decision = classifier.decision()
+        decision = classify_segment(segment, bundle, args.majority_threshold)
         with (frame_dir / f"{segment.segment_id}.csv").open("w") as fh:
             fh.write("frame_index,decision_value,prediction\n")
             for idx, score in zip(decision.frame_indices, decision.frame_scores):
@@ -381,25 +325,16 @@ def cmd_listen(args: argparse.Namespace) -> int:
             audio, VadConfig(threshold=args.vad_threshold, hangover_ms=args.hangover_ms),
             source_id=Path(args.wav).name,
         )
-    classifier = OnlineClassifier(bundle, args.majority_threshold)
     events = []
     audio_seconds = sum(len(s.samples) for s in segments) / audio.sample_rate
     start = time.perf_counter()
     for segment in segments:
-        classifier.reset_segment()
-        triggers = []
-        for frame in frame_stream(segment):
-            event = classifier.push_frame(frame)
-            if event:
-                triggers.append(event)
-        event = classifier.finish_segment()
-        if event:
-            triggers.append(event)
-        for event in triggers:
+        trigger = classify_segment(segment, bundle, args.majority_threshold).trigger
+        if trigger is not None:
             events.append({
                 "segment_id": segment.segment_id,
-                "trigger_time_ms": trigger_time_ms(segment, event.frame_index),
-                "rolling_mean": event.rolling_mean,
+                "trigger_time_ms": trigger_time_ms(segment, trigger.frame_index),
+                "rolling_mean": trigger.rolling_mean,
             })
     wall = time.perf_counter() - start
     rtf = wall / audio_seconds if audio_seconds else 0.0
@@ -503,8 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-name", default="model.nlcm")
     p.add_argument("--grid-search", action="store_true",
                    help="pick SVM parameters by grid search instead of the shipped defaults")
-    p.add_argument("--no-normalize", action="store_true",
-                   help="skip z-scoring for feature sets without PCA")
     _add_svm_flags(p)
 
     p = sub.add_parser("grid-search", help="score the SVM parameter grid by cross-validation")
@@ -522,8 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--majority-threshold", type=float, default=0.0)
     p.add_argument("--segment-roc", action="store_true",
                    help="also report segment-level ROC (score = max rolling vote mean)")
-    p.add_argument("--no-normalize", action="store_true",
-                   help="skip z-scoring for feature sets without PCA")
     _add_svm_flags(p)
 
     p = sub.add_parser("classify", help="offline per-frame classification of a manifest")

@@ -1,4 +1,4 @@
-"""Cross-validation, class balancing, ROC/AUC and confusion metrics."""
+"""Per-speaker training frames, cross-validation reports, ROC/AUC and confusion metrics."""
 
 from __future__ import annotations
 
@@ -11,19 +11,12 @@ import numpy as np
 from .corpus import AudioSegment, Label, frame_stream
 from .errors import LengthMismatch, MissingClass
 from .featset import FeatureSetConfig, extract, feature_matrix, required_context
-from .learn import SvmHyperParams
-from .learn.cv_core import (
-    FoldResult,
-    SpeakerFrames,
-    balance_classes,
-    run_louo_folds,
-    weighted_accuracy,
-)
+from .learn.cv_core import FoldResult, SpeakerFrames, weighted_accuracy
 from .pipeline import SegmentDecision
 
 __all__ = [
     "ConfusionCounts", "RocCurve", "CvReport", "EvalReport", "SpeakerFrames",
-    "balance_frames", "speaker_frames", "louo_cv", "roc_auc",
+    "speaker_frames", "roc_auc",
     "segment_metrics", "frame_metrics",
 ]
 
@@ -99,17 +92,6 @@ class CvReport:
         }
 
 
-def balance_frames(
-    vectors: np.ndarray, labels: np.ndarray, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Keep all confirmation frames; subsample the other class to match.
-
-    (Symmetric: whichever class is larger is subsampled down.) Seeded and
-    deterministic.
-    """
-    return balance_classes(vectors, labels, seed)
-
-
 def label_sign(label: Label) -> int:
     return 1 if label is Label.CONFIRMATION else -1
 
@@ -151,27 +133,6 @@ def speaker_frames(
             weight=float(confirmations),
         ))
     return out
-
-
-def louo_cv(
-    segments: list[AudioSegment],
-    config: FeatureSetConfig,
-    params: SvmHyperParams,
-    *,
-    pca_epsilon: float = 0.95,
-    seed: int = 0,
-) -> CvReport:
-    """Leave-one-user-out cross-validation over labeled segments.
-
-    Each fold trains class-balanced on every other speaker and scores the
-    held-out speaker's frames without balancing; fold accuracies are
-    weighted by the speaker's confirmation count.
-    """
-    speakers = speaker_frames(segments, config)
-    folds = run_louo_folds(
-        speakers, params, use_pca=config.uses_pca, pca_epsilon=pca_epsilon, seed=seed
-    )
-    return CvReport(folds=folds)
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:

@@ -84,11 +84,6 @@ class FeatureSetConfig:
     """Identity of a feature set; dimensions are fixed by the kind."""
 
     kind: FeatureKind
-    stack_depth: int = STACK_DEPTH
-
-    def __post_init__(self):
-        if self.stack_depth != STACK_DEPTH:
-            raise ValueError(f"stack depth is fixed at {STACK_DEPTH}")
 
     @property
     def raw_dimension(self) -> int:
@@ -101,7 +96,7 @@ class FeatureSetConfig:
     def to_dict(self) -> dict:
         return {
             "kind": self.kind.value,
-            "stack_depth": self.stack_depth,
+            "stack_depth": STACK_DEPTH,
             "raw_dimension": self.raw_dimension,
         }
 

@@ -1,10 +1,12 @@
-"""Leave-one-speaker-out fold engine on per-speaker feature matrices.
+"""The fit path and the leave-one-speaker-out fold engine.
 
-Kept free of corpus/feature dependencies so the grid search can reuse it:
-callers hand in per-speaker matrices, labels and fold weights. Per fold,
-the training side is class-balanced, normalization (and PCA, when the
-feature set calls for it) is fitted on the balanced set, the SVM is
-trained and the held-out speaker's frames are scored unbalanced.
+`fit_bundle` is the one way a model is trained: the frames are
+class-balanced, normalization (and PCA, when the feature set calls for
+it) is fitted on the balanced set and the SVM is trained on the result.
+`train`, `evaluate`, cross-validation and the grid search all call it.
+Callers hand in per-speaker matrices, labels and fold weights, so the
+module needs no corpus or audio code. Each fold fits on every other
+speaker and scores the held-out speaker's frames unbalanced.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import MissingClass
-from .normalize import NormalizerStats, fit_normalizer
+from ..errors import DataError, MissingClass
+from ..featset import FeatureSetConfig
+from .model_io import ModelBundle
+from .normalize import fit_normalizer
 from .pca import fit_pca
-from .svm import SvmHyperParams, decision_values, train_svm
+from .svm import SvmHyperParams, train_svm
 
 
 @dataclass(frozen=True)
@@ -61,25 +65,36 @@ def balance_classes(
     return vectors[keep], labels[keep]
 
 
-def fit_transform_chain(
-    vectors: np.ndarray, use_pca: bool, pca_epsilon: float, normalize: bool = True
-):
-    """Fit normalizer (and PCA) on training vectors; return (normalizer, pca, projected).
+def fit_bundle(
+    speakers: list[SpeakerFrames],
+    config: FeatureSetConfig,
+    params: SvmHyperParams,
+    *,
+    seed: int,
+    pca_epsilon: float,
+) -> ModelBundle:
+    """Balance -> normalize -> PCA (for PCA feature sets) -> SVM on the speakers' frames.
 
-    With normalize=False the normalizer is the identity (raw feature
-    scales reach the kernel); PCA feature sets always normalize, since the
-    projection is fitted on z-scored data by construction.
+    Raises DataError when no speaker is given.
     """
-    if normalize or use_pca:
-        normalizer = fit_normalizer(vectors)
-    else:
-        d = vectors.shape[1]
-        normalizer = NormalizerStats(mean=np.zeros(d), std=np.ones(d))
-    normalized = normalizer.transform(vectors)
-    if not use_pca:
-        return normalizer, None, normalized
-    pca = fit_pca(normalized, pca_epsilon)
-    return normalizer, pca, pca.transform(normalized)
+    if not speakers:
+        raise DataError("no usable training data (no speaker with confirmations)")
+    x = np.concatenate([s.vectors for s in speakers])
+    y = np.concatenate([s.labels for s in speakers])
+    bal_x, bal_y = balance_classes(x, y, seed)
+    normalizer = fit_normalizer(bal_x)
+    projected = normalizer.transform(bal_x)
+    pca = None
+    if config.uses_pca:
+        pca = fit_pca(projected, pca_epsilon)
+        projected = pca.transform(projected)
+    return ModelBundle(
+        feature_config=config,
+        hyperparams=params,
+        normalizer=normalizer,
+        pca=pca,
+        svm=train_svm(projected, bal_y, params),
+    )
 
 
 def _fold_seed(seed: int, speaker_id: str) -> int:
@@ -89,27 +104,25 @@ def _fold_seed(seed: int, speaker_id: str) -> int:
 
 def run_louo_folds(
     speakers: list[SpeakerFrames],
+    config: FeatureSetConfig,
     params: SvmHyperParams,
     *,
-    use_pca: bool,
     pca_epsilon: float = 0.95,
     seed: int = 0,
 ) -> list[FoldResult]:
-    """One fold per speaker: train balanced on the rest, score the speaker unbalanced."""
+    """One fold per speaker: fit_bundle on the rest, score the speaker unbalanced.
+
+    Fold accuracy counts signs only, so the held-out frames are scored in
+    one batch (`decide_many`).
+    """
     if len(speakers) < 2:
         raise MissingClass("leave-one-user-out needs at least two speakers")
     results = []
     for held_out in speakers:
         rest = [s for s in speakers if s.speaker_id != held_out.speaker_id]
-        train_x = np.concatenate([s.vectors for s in rest])
-        train_y = np.concatenate([s.labels for s in rest])
-        bal_x, bal_y = balance_classes(train_x, train_y, _fold_seed(seed, held_out.speaker_id))
-        normalizer, pca, projected = fit_transform_chain(bal_x, use_pca, pca_epsilon)
-        model = train_svm(projected, bal_y, params)
-        test_x = normalizer.transform(held_out.vectors)
-        if pca is not None:
-            test_x = pca.transform(test_x)
-        predicted = np.where(decision_values(model, test_x) > 0.0, 1.0, -1.0)
+        bundle = fit_bundle(rest, config, params, seed=_fold_seed(seed, held_out.speaker_id),
+                            pca_epsilon=pca_epsilon)
+        predicted = np.where(bundle.decide_many(held_out.vectors) > 0.0, 1.0, -1.0)
         accuracy = float(np.mean(predicted == held_out.labels))
         results.append(FoldResult(
             speaker_id=held_out.speaker_id,

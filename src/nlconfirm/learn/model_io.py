@@ -2,6 +2,7 @@
 
 Binary layout: magic ``NLCM``, u32 format version, u32 section count, then
 tagged sections (u16 name length, utf-8 name, u64 payload length, payload).
+Each section name appears once and the file ends with the last section.
 All integers and floats are little-endian; floats are 64-bit. A JSON
 export mirrors the same content for debugging.
 """
@@ -189,8 +190,9 @@ def load_model(path: str | Path) -> ModelBundle:
     """Load a bundle written by save_model.
 
     Raises VersionMismatch for a wrong magic/version and CorruptModel for
-    truncated or inconsistent content, including non-finite numbers, a
-    non-positive normalizer std or a non-positive RBF gamma.
+    truncated or inconsistent content, including a repeated section, bytes
+    after the last section, non-finite numbers, a non-positive normalizer
+    std or a non-positive RBF gamma.
     """
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
@@ -205,7 +207,11 @@ def load_model(path: str | Path) -> ModelBundle:
     sections: dict[str, bytes] = {}
     for _ in range(n_sections):
         name = reader.take(reader.u16()).decode()
+        if name in sections:
+            raise CorruptModel(f"repeated section {name!r}")
         sections[name] = reader.take(reader.u64())
+    if reader.offset != len(data):
+        raise CorruptModel(f"{len(data) - reader.offset} bytes after the last section")
 
     missing = {"feature_config", "hyperparams", "normalizer", "svm"} - sections.keys()
     if missing:

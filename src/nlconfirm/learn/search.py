@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..featset import FeatureKind
+from ..featset import FeatureKind, FeatureSetConfig
 from .cv_core import FoldResult, SpeakerFrames, run_louo_folds, weighted_accuracy
 from .svm import SvmHyperParams
 
@@ -46,9 +46,9 @@ class GridSearchResult:
 
 def grid_search(
     speakers: list[SpeakerFrames],
+    config: FeatureSetConfig,
     grid: tuple[SvmHyperParams, ...] = DEFAULT_GRID,
     *,
-    use_pca: bool,
     pca_epsilon: float = 0.95,
     seed: int = 0,
 ) -> GridSearchResult:
@@ -61,9 +61,7 @@ def grid_search(
     points: list[GridPoint] = []
     best: GridPoint | None = None
     for params in ordered:
-        folds = run_louo_folds(
-            speakers, params, use_pca=use_pca, pca_epsilon=pca_epsilon, seed=seed
-        )
+        folds = run_louo_folds(speakers, config, params, pca_epsilon=pca_epsilon, seed=seed)
         point = GridPoint(params=params, weighted_accuracy=weighted_accuracy(folds), folds=folds)
         points.append(point)
         if best is None or point.weighted_accuracy > best.weighted_accuracy:

@@ -61,13 +61,21 @@ class OnlineState:
 
 @dataclass(frozen=True)
 class SegmentDecision:
-    """Outcome for one segment: latched label plus the stored frame scores."""
+    """Outcome for one segment: the latching trigger (if any) plus the stored frame scores."""
 
     segment_ref: str
-    decided_label: Label
-    trigger_frame: int | None
+    trigger: TriggerEvent | None
     frame_indices: np.ndarray
     frame_scores: np.ndarray
+
+    @property
+    def decided_label(self) -> Label:
+        return Label.OTHER if self.trigger is None else Label.CONFIRMATION
+
+    @property
+    def trigger_frame(self) -> int | None:
+        """Index of the frame whose vote latched the segment."""
+        return None if self.trigger is None else self.trigger.frame_index
 
     @property
     def predictions(self) -> np.ndarray:
@@ -125,25 +133,29 @@ class OnlineClassifier:
 
     def decision(self) -> SegmentDecision:
         """Decision for the segment streamed so far (call after finish_segment)."""
-        latched = self.state.latched
         return SegmentDecision(
             segment_ref=self._segment_ref or "",
-            decided_label=Label.CONFIRMATION if latched else Label.OTHER,
-            trigger_frame=self.state.trigger.frame_index if latched else None,
+            trigger=self.state.trigger,
             frame_indices=np.asarray(self._indices, dtype=int),
             frame_scores=np.asarray(self._scores),
         )
+
+
+def _classify_frames(
+    frames: list[Frame], bundle: ModelBundle, majority_threshold: float
+) -> SegmentDecision:
+    classifier = OnlineClassifier(bundle, majority_threshold)
+    for frame in frames:
+        classifier.push_frame(frame)
+    classifier.finish_segment()
+    return classifier.decision()
 
 
 def classify_segment(
     segment: AudioSegment, bundle: ModelBundle, majority_threshold: float = 0.0
 ) -> SegmentDecision:
     """Stream one segment through the classifier and return its decision."""
-    classifier = OnlineClassifier(bundle, majority_threshold)
-    for frame in frame_stream(segment):
-        classifier.push_frame(frame)
-    classifier.finish_segment()
-    return classifier.decision()
+    return _classify_frames(frame_stream(segment), bundle, majority_threshold)
 
 
 def classify_offline(
@@ -164,7 +176,7 @@ def classify_offline(
             raise SegmentTooShort(
                 f"{segment.segment_id}: {len(frames)} frames < context {min_frames}"
             )
-        decisions.append(classify_segment(segment, bundle, majority_threshold))
+        decisions.append(_classify_frames(frames, bundle, majority_threshold))
     return decisions
 
 
@@ -195,8 +207,7 @@ def decision_from_scores(
         state.push_vote(1 if score > 0.0 else -1, int(idx), segment_ref)
     return SegmentDecision(
         segment_ref=segment_ref,
-        decided_label=Label.CONFIRMATION if state.latched else Label.OTHER,
-        trigger_frame=state.trigger.frame_index if state.latched else None,
+        trigger=state.trigger,
         frame_indices=np.asarray(frame_indices, dtype=int),
         frame_scores=np.asarray(frame_scores, dtype=np.float64),
     )

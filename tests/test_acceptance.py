@@ -37,7 +37,7 @@ from nlconfirm.learn import (
     save_model,
     train_svm,
 )
-from nlconfirm.learn.cv_core import balance_classes, fit_transform_chain
+from nlconfirm.learn.cv_core import fit_bundle
 from nlconfirm.learn.svm import decision_values, rbf_kernel, smo_solve
 from nlconfirm.pipeline import OnlineClassifier, classify_offline
 
@@ -296,18 +296,8 @@ def test_criterion_streaming_performance(tmp_path):
     factors = {}
     for kind in FeatureKind:
         config = FeatureSetConfig(kind)
-        speakers = speaker_frames(segments, config)
-        x = np.concatenate([s.vectors for s in speakers])
-        y = np.concatenate([s.labels for s in speakers])
-        bal_x, bal_y = balance_classes(x, y, seed=0)
-        normalizer, pca, projected = fit_transform_chain(bal_x, config.uses_pca, 0.95)
-        bundle = ModelBundle(
-            feature_config=config,
-            hyperparams=SvmHyperParams(C=1.0, eps=0.1, gamma=0.05),
-            normalizer=normalizer,
-            pca=pca,
-            svm=train_svm(projected, bal_y, SvmHyperParams(C=1.0, eps=0.1, gamma=0.05)),
-        )
+        bundle = fit_bundle(speaker_frames(segments, config), config,
+                            SvmHyperParams(C=1.0, eps=0.1, gamma=0.05), seed=0, pca_epsilon=0.95)
         model_path = tmp_path / f"{kind.value}.nlcm"
         save_model(bundle, model_path)
         listen_out = tmp_path / f"listen_{kind.value}"

@@ -6,9 +6,12 @@ import json
 import numpy as np
 import pytest
 
+from nlconfirm import cli
 from nlconfirm.cli import main
-from nlconfirm.corpus import parse_manifest
+from nlconfirm.corpus import load_segments, parse_manifest
+from nlconfirm.evaluate import frame_metrics
 from nlconfirm.learn import load_model
+from nlconfirm.pipeline import classify_segment
 
 FAST_SVM = ["--svm-c", "1", "--svm-eps", "0.1", "--svm-gamma", "0.05"]
 
@@ -90,6 +93,23 @@ def test_evaluate_writes_reports(corpus_dir, tmp_path):
     assert roc_rows[0] == "fpr,tpr"
     assert roc_rows[1] == "0,0"
     assert roc_rows[-1] == "1,1"
+
+
+def test_evaluate_scores_equal_streamed_scores(corpus_dir, tmp_path, monkeypatch):
+    # evaluate scores its test frames as classify and listen do, bit for bit;
+    # pitch has many identical inputs (unvoiced frames), which batch scoring
+    # can give different scores
+    manifest = corpus_dir / "manifest.csv"
+    flags = ("--manifest", manifest, "--features", "pitch", "--seed", 2, *FAST_SVM)
+    assert run("train", *flags, "--out", tmp_path / "model") == 0
+    evaluated = []
+    monkeypatch.setattr(cli, "frame_metrics",
+                        lambda scores, labels: evaluated.append(scores) or frame_metrics(scores, labels))
+    assert run("evaluate", *flags, "--test-manifest", manifest, "--out", tmp_path / "eval") == 0
+    bundle = load_model(tmp_path / "model" / "model.nlcm")
+    streamed = np.concatenate([classify_segment(segment, bundle).frame_scores
+                               for segment in load_segments(manifest)])
+    assert np.array_equal(evaluated[0], streamed)
 
 
 def test_classify_then_listen_parity(corpus_dir, model_dir, tmp_path):
@@ -176,16 +196,6 @@ def test_evaluate_with_test_manifest_and_segment_roc(corpus_dir, tmp_path):
     report = json.loads((out / "eval_formant_sd.json").read_text())
     assert report["segment_roc_auc"] is not None
     assert 0.0 <= report["segment_roc_auc"] <= 1.0
-
-
-def test_train_no_normalize_identity_stats(corpus_dir, tmp_path):
-    out = tmp_path / "nonorm"
-    assert run("train", "--manifest", corpus_dir / "manifest.csv",
-               "--features", "formant_sd", "--no-normalize",
-               "--out", out, *FAST_SVM) == 0
-    bundle = load_model(out / "model.nlcm")
-    assert np.array_equal(bundle.normalizer.mean, np.zeros(2))
-    assert np.array_equal(bundle.normalizer.std, np.ones(2))
 
 
 def test_exit_code_directory_as_manifest(tmp_path):

@@ -1,4 +1,4 @@
-"""Balancing, ROC/AUC, confusion metrics and cross-validation."""
+"""Balancing, ROC/AUC, confusion metrics, cross-validation and grid search."""
 
 import numpy as np
 import pytest
@@ -9,16 +9,19 @@ from nlconfirm.corpus import Label
 from nlconfirm.errors import LengthMismatch, MissingClass
 from nlconfirm.evaluate import (
     CvReport,
-    balance_frames,
     frame_metrics,
-    louo_cv,
     roc_auc,
     segment_metrics,
     speaker_frames,
 )
 from nlconfirm.featset import FeatureKind, FeatureSetConfig
 from nlconfirm.learn import SvmHyperParams
-from nlconfirm.learn.cv_core import FoldResult, weighted_accuracy
+from nlconfirm.learn.cv_core import (
+    FoldResult,
+    balance_classes,
+    run_louo_folds,
+    weighted_accuracy,
+)
 from nlconfirm.pipeline import decision_from_scores
 
 from .conftest import make_segment, sine
@@ -43,7 +46,7 @@ class TestBalance:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((130, 3))
         y = np.concatenate([np.ones(30), -np.ones(100)])
-        bx, by = balance_frames(x, y, seed=1)
+        bx, by = balance_classes(x, y, seed=1)
         assert np.sum(by > 0) == 30
         assert np.sum(by < 0) == 30
         assert bx.shape == (60, 3)
@@ -51,7 +54,7 @@ class TestBalance:
     def test_already_balanced_unchanged(self):
         x = np.arange(20, dtype=float).reshape(10, 2)
         y = np.array([1.0, -1.0] * 5)
-        bx, by = balance_frames(x, y, seed=0)
+        bx, by = balance_classes(x, y, seed=0)
         assert np.array_equal(bx, x)
         assert np.array_equal(by, y)
 
@@ -59,15 +62,15 @@ class TestBalance:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((50, 2))
         y = np.concatenate([np.ones(10), -np.ones(40)])
-        a = balance_frames(x, y, seed=7)[0]
-        b = balance_frames(x, y, seed=7)[0]
+        a = balance_classes(x, y, seed=7)[0]
+        b = balance_classes(x, y, seed=7)[0]
         assert np.array_equal(a, b)
-        c = balance_frames(x, y, seed=8)[0]
+        c = balance_classes(x, y, seed=8)[0]
         assert not np.array_equal(a, c)
 
     def test_missing_class(self):
         with pytest.raises(MissingClass):
-            balance_frames(np.zeros((5, 2)), np.ones(5), seed=0)
+            balance_classes(np.zeros((5, 2)), np.ones(5), seed=0)
 
 
 class TestRoc:
@@ -205,12 +208,13 @@ def _two_speaker_segments():
 class TestLouoCv:
     def test_two_speakers_two_folds(self):
         segments = _two_speaker_segments()
-        report = louo_cv(
-            segments,
-            FeatureSetConfig(FeatureKind.MFCC),
+        config = FeatureSetConfig(FeatureKind.MFCC)
+        report = CvReport(folds=run_louo_folds(
+            speaker_frames(segments, config),
+            config,
             SvmHyperParams(C=1.0, eps=0.05, gamma=0.05),
             seed=0,
-        )
+        ))
         assert isinstance(report, CvReport)
         assert sorted(f.speaker_id for f in report.folds) == ["alice", "bob"]
         assert all(0.0 <= f.accuracy <= 1.0 for f in report.folds)
@@ -235,9 +239,12 @@ class TestLouoCv:
         segments = _two_speaker_segments()
         config = FeatureSetConfig(FeatureKind.MFCC)
         params = SvmHyperParams(C=1.0, eps=0.05, gamma=0.05)
-        a = louo_cv(segments, config, params, seed=3)
-        b = louo_cv(segments, config, params, seed=3)
-        assert [f.accuracy for f in a.folds] == [f.accuracy for f in b.folds]
+        a = run_louo_folds(speaker_frames(segments, config), config, params, seed=3)
+        b = run_louo_folds(speaker_frames(segments, config), config, params, seed=3)
+        assert [f.accuracy for f in a] == [f.accuracy for f in b]
+
+
+TWO_DIM = FeatureSetConfig(FeatureKind.FORMANT_SD)  # 2-D, no PCA
 
 
 class TestGridSearch:
@@ -259,7 +266,7 @@ class TestGridSearch:
 
     def test_sixteen_points_and_tie_break(self):
         from nlconfirm.learn import DEFAULT_GRID, grid_search
-        result = grid_search(self._speakers(), use_pca=False, seed=0)
+        result = grid_search(self._speakers(), TWO_DIM, seed=0)
         assert len(result.points) == 16
         assert len(DEFAULT_GRID) == 16
         assert all(p.weighted_accuracy == 1.0 for p in result.points)
@@ -268,7 +275,7 @@ class TestGridSearch:
 
     def test_deterministic(self):
         from nlconfirm.learn import grid_search
-        a = grid_search(self._speakers(), use_pca=False, seed=3)
-        b = grid_search(self._speakers(), use_pca=False, seed=3)
+        a = grid_search(self._speakers(), TWO_DIM, seed=3)
+        b = grid_search(self._speakers(), TWO_DIM, seed=3)
         assert [p.weighted_accuracy for p in a.points] == [p.weighted_accuracy for p in b.points]
         assert a.best == b.best

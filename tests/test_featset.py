@@ -68,8 +68,11 @@ class TestTable:
         }
 
     def test_stack_depth_fixed(self):
-        with pytest.raises(ValueError):
-            FeatureSetConfig(FeatureKind.MFCC, stack_depth=10)
+        for kind in FeatureKind:
+            config = FeatureSetConfig(kind)
+            data = config.to_dict()
+            assert data["stack_depth"] == STACK_DEPTH == 15
+            assert FeatureSetConfig.from_dict(data) == config
 
 
 class TestExtraction:

@@ -173,3 +173,39 @@ def test_bad_numbers_rejected(tmp_path, case):
     save_model(_BAD_NUMBERS[case](good), path)
     with pytest.raises(CorruptModel):
         load_model(path)
+
+
+def _section_blobs(blob: bytes) -> list[bytes]:
+    """Raw bytes (header and payload) of each section of a saved model."""
+    out, offset = [], 12
+    for _ in range(int.from_bytes(blob[8:12], "little")):
+        name_end = offset + 2 + int.from_bytes(blob[offset : offset + 2], "little")
+        end = name_end + 8 + int.from_bytes(blob[name_end : name_end + 8], "little")
+        out.append(blob[offset:end])
+        offset = end
+    assert offset == len(blob)
+    return out
+
+
+@pytest.mark.parametrize("extra", ["one_zero_byte", "text", "whole_section"])
+def test_bytes_after_last_section_rejected(tmp_path, extra):
+    path = tmp_path / "model.nlcm"
+    save_model(make_bundle(FeatureKind.FORMANT_SD), path)
+    blob = path.read_bytes()
+    tail = {"one_zero_byte": b"\x00", "text": b"trailer",
+            "whole_section": _section_blobs(blob)[1]}[extra]
+    path.write_bytes(blob + tail)
+    with pytest.raises(CorruptModel, match="after the last section"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("repeated", [0, 1, 3])
+def test_repeated_section_rejected(tmp_path, repeated):
+    path = tmp_path / "model.nlcm"
+    save_model(make_bundle(FeatureKind.FORMANT_SD), path)
+    blob = path.read_bytes()
+    sections = _section_blobs(blob)
+    count = (len(sections) + 1).to_bytes(4, "little")
+    path.write_bytes(blob[:8] + count + b"".join(sections) + sections[repeated])
+    with pytest.raises(CorruptModel, match="repeated section"):
+        load_model(path)
