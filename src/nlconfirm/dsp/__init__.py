@@ -12,7 +12,6 @@ from .spectral import (
     mel_log_energies,
     mfcc_from_log_energies,
     mfcc,
-    mfcc_many,
     N_MFCC,
     N_MEL_BANDS,
     MEL_FMIN,
@@ -40,7 +39,7 @@ from .pitch import pitch_yin_fft
 __all__ = [
     "WindowKind", "WindowFunction", "make_window", "apply_window",
     "power_spectrum", "mel_filterbank", "mel_log_energies",
-    "mfcc_from_log_energies", "mfcc", "mfcc_many",
+    "mfcc_from_log_energies", "mfcc",
     "N_MFCC", "N_MEL_BANDS", "MEL_FMIN", "MEL_FMAX", "LOG_FLOOR",
     "SavitzkyGolayFilter", "FIRST_DERIVATIVE", "SECOND_DERIVATIVE", "savitzky_golay",
     "LpcResult", "FormantPair", "LPC_ORDER", "lpc", "lpc_polynomial",

@@ -103,14 +103,3 @@ def mfcc_from_log_energies(log_energies: np.ndarray, n_mfcc: int = N_MFCC) -> np
 def mfcc(windowed: np.ndarray, sample_rate: int = 16_000) -> np.ndarray:
     """First 13 MFCCs of one Blackman-Harris-windowed frame."""
     return mfcc_from_log_energies(mel_log_energies(power_spectrum(windowed), sample_rate))
-
-
-def mfcc_many(windowed_rows: np.ndarray, sample_rate: int = 16_000) -> np.ndarray:
-    """MFCCs for a (n_frames, frame_len) matrix of windowed frames."""
-    rows = np.asarray(windowed_rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ValueError("expected a 2-D (n_frames, frame_len) array")
-    n_fft = next_pow2(rows.shape[1])
-    spec = np.fft.rfft(rows, n_fft, axis=1)
-    power = spec.real * spec.real + spec.imag * spec.imag
-    return mfcc_from_log_energies(mel_log_energies(power, sample_rate))

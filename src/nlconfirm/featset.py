@@ -13,11 +13,17 @@ vectors. Stacks are causal (a vector emitted at frame t covers frames
 t-14 .. t). The derivative set is the one look-ahead consumer: frame t
 needs MFCCs up to t+3, so its vectors trail the stream by three frames and
 the tail is flushed with edge replication when the segment ends.
+
+The extractor's history is a ring of the last 15 base vectors, which every
+consumer's context fits in (a stack needs 15, a derivative 3 back and 3
+ahead), so memory and per-frame cost stay constant however long a segment
+runs.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,19 +169,25 @@ class StreamingExtractor:
     flight. `push` returns the vectors that became complete with this
     frame, `finish` flushes look-ahead consumers at segment end, `reset`
     prepares for the next segment.
+
+    Only the last STACK_DEPTH base vectors are kept, in a ring, plus a
+    count of frames pushed since `reset`: memory and per-frame cost are
+    constant in the segment length.
     """
 
     def __init__(self, config: FeatureSetConfig):
         self.config = config
         self._window = make_window(window_kind_for(config), FRAME_LEN)
-        self._base: list[np.ndarray] = []
+        self._ring: deque[np.ndarray] = deque(maxlen=STACK_DEPTH)
+        self._count = 0
 
     def reset(self) -> None:
-        self._base = []
+        self._ring.clear()
+        self._count = 0
 
     @property
     def frames_consumed(self) -> int:
-        return len(self._base)
+        return self._count
 
     def _base_vector(self, frame: Frame) -> np.ndarray:
         windowed = apply_window(frame.samples, self._window)
@@ -187,8 +199,12 @@ class StreamingExtractor:
         return np.array([pitch_yin_fft(windowed, SAMPLE_RATE)])
 
     def _delta_vector(self, t: int) -> FeatureVector:
-        series = np.asarray(self._base)
-        parts = (series[t], sg_at(series, t, FIRST_DERIVATIVE), sg_at(series, t, SECOND_DERIVATIVE))
+        # the filter reaches DELTA_LAG frames back and ahead of t, well inside
+        # the ring, so sg_at clamps at the same frames as on the whole series
+        series = np.asarray(self._ring)
+        local = t - (self._count - len(series))
+        parts = (series[local], sg_at(series, local, FIRST_DERIVATIVE),
+                 sg_at(series, local, SECOND_DERIVATIVE))
         return FeatureVector(np.concatenate(parts), t, self.config)
 
     def _emit_at(self, t: int) -> FeatureVector:
@@ -196,18 +212,19 @@ class StreamingExtractor:
         if kind is FeatureKind.MFCC_DELTA:
             return self._delta_vector(t)
         if kind in _STACKED_KINDS:
-            window = self._base[t - STACK_DEPTH + 1 : t + 1]
+            # stacked kinds emit from t = STACK_DEPTH - 1 on: the ring is full
             if kind is FeatureKind.FORMANT_SD:
-                block = np.asarray(window)
+                block = np.asarray(self._ring)
                 values = np.array([np.std(block[:, 0]), np.std(block[:, 1])])
             else:
-                values = np.concatenate(window)
+                values = np.concatenate(self._ring)
             return FeatureVector(values, t, self.config)
-        return FeatureVector(self._base[t], t, self.config)
+        return FeatureVector(self._ring[-1], t, self.config)
 
     def push(self, frame: Frame) -> list[FeatureVector]:
-        self._base.append(self._base_vector(frame))
-        t = len(self._base) - 1
+        self._ring.append(self._base_vector(frame))
+        t = self._count
+        self._count += 1
         kind = self.config.kind
         if kind is FeatureKind.MFCC_DELTA:
             pending = t - DELTA_LAG
@@ -218,7 +235,7 @@ class StreamingExtractor:
 
     def finish(self) -> list[FeatureVector]:
         """Flush the derivative set's trailing frames (edge replication)."""
-        n = len(self._base)
+        n = self._count
         if self.config.kind is not FeatureKind.MFCC_DELTA or n < required_context(self.config):
             return []
         first_pending = max(0, n - DELTA_LAG)

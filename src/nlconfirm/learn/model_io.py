@@ -3,6 +3,8 @@
 Binary layout: magic ``NLCM``, u32 format version, u32 section count, then
 tagged sections (u16 name length, utf-8 name, u64 payload length, payload).
 Each section name appears once and the file ends with the last section.
+Arrays are stored as u32 rank, u32 per dimension, then the values; each
+binary section ends with its last array.
 All integers and floats are little-endian; floats are 64-bit. A JSON
 export mirrors the same content for debugging.
 """
@@ -10,6 +12,7 @@ export mirrors the same content for debugging.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -119,14 +122,18 @@ class _Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
-    def array(self) -> np.ndarray:
-        ndim = self.u32()
-        if ndim > 4:
-            raise CorruptModel(f"implausible array rank {ndim}")
+    def array(self, ndim: int) -> np.ndarray:
+        """The next array, which must have rank ndim."""
+        stored = self.u32()
+        if stored != ndim:
+            raise CorruptModel(f"array rank {stored}, expected {ndim}")
         shape = tuple(self.u32() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        raw = self.take(8 * count)
+        raw = self.take(8 * math.prod(shape))
         return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+
+    def done(self, section: str) -> None:
+        if self.offset != len(self.data):
+            raise CorruptModel(f"{len(self.data) - self.offset} bytes left in section {section!r}")
 
 
 def save_model(bundle: ModelBundle, path: str | Path) -> None:
@@ -161,6 +168,16 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
     Path(path).write_bytes(bytes(blob))
 
 
+def _json_section(sections: dict[str, bytes], name: str) -> dict:
+    try:
+        data = json.loads(sections[name])
+    except ValueError as exc:
+        raise CorruptModel(f"bad JSON in section {name!r}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise CorruptModel(f"section {name!r} is not a JSON object")
+    return data
+
+
 def _check_numbers(normalizer: NormalizerStats, svm: SvmModel, pca: PcaTransform | None) -> None:
     """CorruptModel for numbers no trained model can hold: they would score NaN or inf."""
     arrays = {
@@ -190,9 +207,11 @@ def load_model(path: str | Path) -> ModelBundle:
     """Load a bundle written by save_model.
 
     Raises VersionMismatch for a wrong magic/version and CorruptModel for
-    truncated or inconsistent content, including a repeated section, bytes
-    after the last section, non-finite numbers, a non-positive normalizer
-    std or a non-positive RBF gamma.
+    truncated or inconsistent content, including a section name that is not
+    UTF-8, a repeated section, bytes after the last section or the last
+    array of a section, a JSON section that is not an object, an array of
+    the wrong rank, non-finite numbers, a non-positive normalizer std or a
+    non-positive RBF gamma.
     """
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
@@ -206,7 +225,10 @@ def load_model(path: str | Path) -> ModelBundle:
         raise CorruptModel(f"implausible section count {n_sections}")
     sections: dict[str, bytes] = {}
     for _ in range(n_sections):
-        name = reader.take(reader.u16()).decode()
+        try:
+            name = reader.take(reader.u16()).decode()
+        except UnicodeDecodeError as exc:
+            raise CorruptModel(f"section name is not UTF-8: {exc}") from exc
         if name in sections:
             raise CorruptModel(f"repeated section {name!r}")
         sections[name] = reader.take(reader.u64())
@@ -216,24 +238,30 @@ def load_model(path: str | Path) -> ModelBundle:
     missing = {"feature_config", "hyperparams", "normalizer", "svm"} - sections.keys()
     if missing:
         raise CorruptModel(f"missing sections: {sorted(missing)}")
+    feature_json = _json_section(sections, "feature_config")
+    hyperparams_json = _json_section(sections, "hyperparams")
     try:
-        feature_config = FeatureSetConfig.from_dict(json.loads(sections["feature_config"]))
-        hyperparams = SvmHyperParams.from_dict(json.loads(sections["hyperparams"]))
-    except (ValueError, KeyError) as exc:
+        feature_config = FeatureSetConfig.from_dict(feature_json)
+        hyperparams = SvmHyperParams.from_dict(hyperparams_json)
+    except (ValueError, KeyError, TypeError) as exc:
         raise CorruptModel(f"bad JSON section: {exc}") from exc
 
     r = _Reader(sections["normalizer"])
-    normalizer = NormalizerStats(mean=r.array(), std=r.array())
+    normalizer = NormalizerStats(mean=r.array(1), std=r.array(1))
+    r.done("normalizer")
     r = _Reader(sections["svm"])
     gamma, bias = struct.unpack("<dd", r.take(16))
-    alphas = r.array()
-    vectors = r.array()
+    alphas = r.array(1)
+    vectors = r.array(2)
+    r.done("svm")
     svm = SvmModel(support_vectors=vectors, alphas_signed=alphas, bias=bias, gamma=gamma)
     pca = None
     if "pca" in sections:
         r = _Reader(sections["pca"])
         (epsilon,) = struct.unpack("<d", r.take(8))
-        pca = PcaTransform(epsilon=epsilon, mean=r.array(), basis=r.array(), eigenvalues=r.array())
+        pca = PcaTransform(epsilon=epsilon, mean=r.array(1), basis=r.array(2),
+                           eigenvalues=r.array(1))
+        r.done("pca")
     _check_numbers(normalizer, svm, pca)
     try:
         return ModelBundle(

@@ -37,9 +37,6 @@ class PcaTransform:
             raise DimensionMismatch(f"vector dim {x.shape[-1]} != PCA input dim {self.input_dimension}")
         return (x - self.mean) @ self.basis.T
 
-    def inverse_transform(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray(y, dtype=np.float64) @ self.basis + self.mean
-
 
 def fit_pca(vectors: np.ndarray, epsilon: float = 0.95) -> PcaTransform:
     """Eigendecomposition of the sample covariance with retained-variance cut.

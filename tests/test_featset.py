@@ -1,10 +1,27 @@
 """Feature-set extraction: dimensions, windows, stacking, streaming."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nlconfirm.corpus import FRAME_LEN, Frame, frame_stream
-from nlconfirm.dsp import WindowKind, apply_window, make_window, mfcc
+from nlconfirm.corpus import FRAME_LEN, HOP_LEN, SAMPLE_RATE, Frame, frame_stream
+from nlconfirm.dsp import (
+    FIRST_DERIVATIVE,
+    SECOND_DERIVATIVE,
+    WindowKind,
+    apply_window,
+    fix_roots,
+    formants,
+    lpc,
+    lpc_polynomial,
+    make_window,
+    mfcc,
+    pitch_yin_fft,
+    polynomial_roots,
+    savitzky_golay,
+)
 from nlconfirm.errors import SegmentTooShort
 from nlconfirm.featset import (
     DELTA_CONTEXT,
@@ -219,3 +236,106 @@ class TestStreaming:
         vectors = extract(noise_frames(20, seed=24), FeatureSetConfig(FeatureKind.MFCC))
         matrix = feature_matrix(vectors)
         assert matrix.shape == (20, 13)
+
+
+def voiced_frames(n: int, seed: int = 0) -> list[Frame]:
+    """Frames of a gliding, amplitude-modulated tone in noise: every base feature varies."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(FRAME_LEN + (n - 1) * HOP_LEN) / SAMPLE_RATE
+    phase = 2 * np.pi * (140.0 * t + 60.0 * t * t)
+    samples = (0.3 + 0.1 * np.sin(7.0 * t)) * np.sin(phase) + rng.normal(0.0, 0.02, t.size)
+    return frames_from(samples)
+
+
+def base_series(frames: list[Frame], kind: FeatureKind) -> np.ndarray:
+    """Per-frame base features of a whole segment, one row per frame."""
+    window = make_window(window_kind_for(kind), FRAME_LEN)
+    windowed = [apply_window(f.samples, window) for f in frames]
+    if kind in (FeatureKind.MFCC_DELTA, FeatureKind.STACKED_MFCC):
+        return np.stack([mfcc(w) for w in windowed])
+    if kind is FeatureKind.STACKED_PITCH:
+        return np.array([[pitch_yin_fft(w, SAMPLE_RATE)] for w in windowed])
+    return np.stack([
+        formants(fix_roots(polynomial_roots(lpc_polynomial(lpc(w)))), SAMPLE_RATE).as_array()
+        for w in windowed
+    ])
+
+
+def batch_reference(series: np.ndarray, kind: FeatureKind) -> list[np.ndarray]:
+    """Vectors built from the whole base series at once."""
+    if kind is FeatureKind.MFCC_DELTA:
+        rows = np.concatenate([series, savitzky_golay(series, FIRST_DERIVATIVE),
+                               savitzky_golay(series, SECOND_DERIVATIVE)], axis=1)
+        return list(rows)
+    out = []
+    for t in range(STACK_DEPTH - 1, len(series)):
+        block = series[t - STACK_DEPTH + 1 : t + 1]
+        if kind is FeatureKind.FORMANT_SD:
+            out.append(np.array([np.std(block[:, 0]), np.std(block[:, 1])]))
+        else:
+            out.append(block.reshape(-1))
+    return out
+
+
+class TestRingOracle:
+    """The 15-vector history against whole-series references, at its fill and wrap edges."""
+
+    @pytest.mark.parametrize("kind", [
+        FeatureKind.MFCC_DELTA, FeatureKind.STACKED_MFCC,
+        FeatureKind.STACKED_PITCH, FeatureKind.FORMANT_SD,
+    ])
+    @pytest.mark.parametrize("n", [7, 8, 14, 15, 16, 17, 40])
+    def test_extract_equals_whole_series_reference(self, kind, n):
+        frames = voiced_frames(n, seed=n)
+        config = FeatureSetConfig(kind)
+        if n < required_context(kind):
+            with pytest.raises(SegmentTooShort):
+                extract(frames, config)
+            return
+        series = base_series(frames, kind)
+        assert len(np.unique(series, axis=0)) == n  # distinct rows: a misaligned ring shows
+        expected = batch_reference(series, kind)
+        vectors = extract(frames, config)
+        assert [v.frame_index for v in vectors] == list(range(n - len(expected), n))
+        for vector, reference in zip(vectors, expected, strict=True):
+            assert np.array_equal(vector.values, reference)
+        # a reused extractor gives the same vectors after reset
+        extractor = StreamingExtractor(config)
+        for frame in voiced_frames(STACK_DEPTH + 8, seed=100):
+            extractor.push(frame)
+        extractor.reset()
+        streamed = [v for f in frames for v in extractor.push(f)] + extractor.finish()
+        for vector, reference in zip(streamed, expected, strict=True):
+            assert np.array_equal(vector.values, reference)
+
+
+class TestBoundedState:
+    @staticmethod
+    def peak_kib(extractor: StreamingExtractor, frames) -> float:
+        """Peak traced Python heap while the extractor consumes a stream."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for frame in frames:
+                extractor.push(frame)
+            extractor.finish()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / 1024.0
+
+    def test_memory_flat_from_5_to_120_seconds(self):
+        pool = [f.samples for f in noise_frames(64, seed=31)]
+
+        def stream(n: int):  # 10 ms per frame: 500 frames are 5 s
+            return (Frame(pool[i % len(pool)], i, "seg") for i in range(n))
+
+        extractor = StreamingExtractor(FeatureSetConfig(FeatureKind.MFCC_DELTA))
+        short = self.peak_kib(extractor, stream(500))
+        assert extractor.frames_consumed == 500
+        extractor.reset()
+        long = self.peak_kib(extractor, stream(12_000))
+        assert extractor.frames_consumed == 12_000
+        extractor.reset()
+        assert extractor.frames_consumed == 0
+        assert long <= 1.5 * short, f"peak {long:.1f} KiB at 120 s vs {short:.1f} KiB at 5 s"

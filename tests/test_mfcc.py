@@ -17,7 +17,6 @@ from nlconfirm.dsp import (
     mel_filterbank,
     mfcc,
     mfcc_from_log_energies,
-    mfcc_many,
 )
 
 FS = 16000
@@ -122,10 +121,3 @@ def test_amplitude_shift_only_moves_c0(frame, scale):
     scaled = mfcc(frame * scale)
     assert np.max(np.abs(scaled[1:] - base[1:])) < 1e-6
 
-
-def test_batch_matches_single():
-    rng = np.random.default_rng(13)
-    frames = rng.uniform(-0.5, 0.5, (8, 400))
-    batch = mfcc_many(frames)
-    singles = np.stack([mfcc(f) for f in frames])
-    assert np.max(np.abs(batch - singles)) < 1e-10

@@ -5,6 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nlconfirm.errors import CorruptModel, DimensionMismatch, VersionMismatch
 from nlconfirm.featset import FeatureKind, FeatureSetConfig
@@ -209,3 +212,84 @@ def test_repeated_section_rejected(tmp_path, repeated):
     path.write_bytes(blob[:8] + count + b"".join(sections) + sections[repeated])
     with pytest.raises(CorruptModel, match="repeated section"):
         load_model(path)
+
+
+def _section(name: bytes, payload: bytes) -> bytes:
+    return len(name).to_bytes(2, "little") + name + len(payload).to_bytes(8, "little") + payload
+
+
+def test_non_utf8_section_name_rejected(tmp_path):
+    path = tmp_path / "model.nlcm"
+    save_model(make_bundle(FeatureKind.FORMANT_SD), path)
+    blob = path.read_bytes()
+    sections = _section_blobs(blob)
+    # same length as "feature_config", so the layout stays intact
+    renamed = sections[0][:2] + b"\xfe\xff" + sections[0][4:]
+    path.write_bytes(blob[:12] + renamed + b"".join(sections[1:]))
+    with pytest.raises(CorruptModel, match="not UTF-8"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("index,payload", [
+    (0, b'["formant_sd"]'),
+    (0, b'"formant_sd"'),
+    (1, b"[1.0, 0.05, 0.05]"),
+])
+def test_non_object_json_section_rejected(tmp_path, index, payload):
+    path = tmp_path / "model.nlcm"
+    save_model(make_bundle(FeatureKind.FORMANT_SD), path)
+    blob = path.read_bytes()
+    sections = _section_blobs(blob)
+    name = ("feature_config", "hyperparams")[index].encode()
+    sections[index] = _section(name, payload)
+    path.write_bytes(blob[:12] + b"".join(sections))
+    with pytest.raises(CorruptModel, match="not a JSON object"):
+        load_model(path)
+
+
+@pytest.fixture(scope="module")
+def saved_delta_model(tmp_path_factory) -> bytes:
+    """Bytes of a saved mfcc_delta model; it has a PCA section."""
+    path = tmp_path_factory.mktemp("model") / "model.nlcm"
+    save_model(make_bundle(FeatureKind.MFCC_DELTA), path)
+    return path.read_bytes()
+
+
+def _load_or_typed_error(path, blob: bytes) -> ModelBundle | None:
+    """The loaded bundle, or None when load_model raises one of its typed errors."""
+    path.write_bytes(blob)
+    try:
+        return load_model(path)
+    except (CorruptModel, VersionMismatch):
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_single_byte_overwrite_loads_or_raises_typed(tmp_path_factory, saved_delta_model, data):
+    blob = bytearray(saved_delta_model)
+    offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    blob[offset] = data.draw(st.integers(0, 255).filter(lambda b: b != blob[offset]), label="byte")
+    bundle = _load_or_typed_error(tmp_path_factory.getbasetemp() / "overwritten.nlcm", bytes(blob))
+    if bundle is not None:  # a model that loads can also score
+        with np.errstate(all="ignore"):  # an overwritten value may be huge but finite
+            bundle.decide_many(np.zeros((2, bundle.feature_config.raw_dimension)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_truncation_raises_typed(tmp_path_factory, saved_delta_model, data):
+    length = data.draw(st.integers(0, len(saved_delta_model) - 1), label="length")
+    path = tmp_path_factory.getbasetemp() / "truncated.nlcm"
+    assert _load_or_typed_error(path, saved_delta_model[:length]) is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(list(FeatureKind)), seed=st.integers(0, 2**16), data=st.data())
+def test_roundtrip_scores_bitwise(tmp_path_factory, kind, seed, data):
+    bundle = make_bundle(kind, seed)
+    path = tmp_path_factory.getbasetemp() / "roundtrip.nlcm"
+    save_model(bundle, path)
+    probes = data.draw(arrays(np.float64, (8, bundle.feature_config.raw_dimension),
+                              elements=st.floats(-1e3, 1e3)), label="probes")
+    assert np.array_equal(load_model(path).decide_many(probes), bundle.decide_many(probes))

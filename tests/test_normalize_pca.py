@@ -75,7 +75,7 @@ class TestPca:
         x = rng.standard_normal((100, 5)) @ np.diag([3.0, 2.0, 1.5, 1.0, 0.5])
         pca = fit_pca(x, 1.0)
         assert pca.output_dimension == 5
-        back = pca.inverse_transform(pca.transform(x))
+        back = pca.transform(x) @ pca.basis + pca.mean
         assert np.max(np.abs(back - x)) < 1e-6
 
     def test_orthonormal_rows(self):
