@@ -221,12 +221,13 @@ def _evaluate_kind(
     params = _explicit_params(args)
     speakers = speaker_frames(train_segments, config)
     if args.grid_search and params is None:
-        params = grid_search(speakers, config, pca_epsilon=args.pca_epsilon, seed=args.seed).best
-    if params is None:
-        params = DEFAULT_SVM_PARAMS[kind]
-    cv = CvReport(folds=run_louo_folds(
-        speakers, config, params, pca_epsilon=args.pca_epsilon, seed=args.seed
-    ))
+        result = grid_search(speakers, config, pca_epsilon=args.pca_epsilon, seed=args.seed)
+        params, folds = result.best, result.best_point.folds
+    else:
+        params = params or DEFAULT_SVM_PARAMS[kind]
+        folds = run_louo_folds(speakers, config, params, pca_epsilon=args.pca_epsilon,
+                               seed=args.seed)
+    cv = CvReport(folds=folds)
     bundle = fit_bundle(speakers, config, params, seed=args.seed, pca_epsilon=args.pca_epsilon)
 
     decisions = classify_offline(test_segments, bundle, args.majority_threshold)

@@ -1,12 +1,19 @@
 """The fit path and the leave-one-speaker-out fold engine.
 
-`fit_bundle` is the one way a model is trained: the frames are
-class-balanced, normalization (and PCA, when the feature set calls for
-it) is fitted on the balanced set and the SVM is trained on the result.
-`train`, `evaluate`, cross-validation and the grid search all call it.
+`fit_chain` is the parameter-free part of training: the frames are
+class-balanced, and normalization (and PCA, when the feature set calls
+for it) is fitted on the balanced set. `fit_bundle` is that chain plus
+`train_svm`, the one way a model is trained for `train` and `evaluate`.
 Callers hand in per-speaker matrices, labels and fold weights, so the
-module needs no corpus or audio code. Each fold fits on every other
-speaker and scores the held-out speaker's frames unbalanced.
+module needs no corpus or audio code.
+
+`run_louo_folds` scores a whole grid of SVM parameters in one pass over
+the folds. Each fold fits on every other speaker and scores the held-out
+speaker's frames unbalanced. The chain and the squared-distance matrix
+do not depend on the SVM parameters, so each fold builds them once, takes
+one RBF kernel per gamma and one SMO run per (C, gamma), which yields the
+models of every eps (`smo_path`). Every model is bit for bit the one
+`fit_bundle` trains for its point.
 """
 
 from __future__ import annotations
@@ -19,9 +26,9 @@ import numpy as np
 from ..errors import DataError, MissingClass
 from ..featset import FeatureSetConfig
 from .model_io import ModelBundle
-from .normalize import fit_normalizer
-from .pca import fit_pca
-from .svm import SvmHyperParams, train_svm
+from .normalize import NormalizerStats, fit_normalizer
+from .pca import PcaTransform, fit_pca
+from .svm import SvmHyperParams, SvmModel, smo_path, squared_distances, support_model, train_svm
 
 
 @dataclass(frozen=True)
@@ -42,15 +49,8 @@ class FoldResult:
     n_test: int
 
 
-def balance_classes(
-    vectors: np.ndarray, labels: np.ndarray, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uniformly subsample the majority class down to the minority count.
-
-    In practice the majority is the "other" class, whose frames are
-    discarded to match the confirmation frame count. Deterministic for a
-    given seed; raises MissingClass when a class is absent.
-    """
+def _balanced_rows(labels: np.ndarray, seed: int) -> np.ndarray:
+    """Sorted indices of the rows `balance_classes` keeps."""
     labels = np.asarray(labels)
     pos_idx = np.flatnonzero(labels > 0)
     neg_idx = np.flatnonzero(labels < 0)
@@ -61,8 +61,60 @@ def balance_classes(
         neg_idx = np.sort(rng.choice(neg_idx, size=pos_idx.size, replace=False))
     elif neg_idx.size < pos_idx.size:
         pos_idx = np.sort(rng.choice(pos_idx, size=neg_idx.size, replace=False))
-    keep = np.sort(np.concatenate([pos_idx, neg_idx]))
-    return vectors[keep], labels[keep]
+    return np.sort(np.concatenate([pos_idx, neg_idx]))
+
+
+def balance_classes(
+    vectors: np.ndarray, labels: np.ndarray, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniformly subsample the majority class down to the minority count.
+
+    In practice the majority is the "other" class, whose frames are
+    discarded to match the confirmation frame count. Deterministic for a
+    given seed; raises MissingClass when a class is absent.
+    """
+    keep = _balanced_rows(labels, seed)
+    return vectors[keep], np.asarray(labels)[keep]
+
+
+@dataclass(frozen=True)
+class FitChain:
+    """The balanced training rows after normalization (and PCA), with the fitted transforms."""
+
+    normalizer: NormalizerStats
+    pca: PcaTransform | None
+    vectors: np.ndarray  # (n, d) projected rows
+    labels: np.ndarray   # (n,)
+
+
+def fit_chain(
+    speakers: list[SpeakerFrames],
+    config: FeatureSetConfig,
+    *,
+    seed: int,
+    pca_epsilon: float,
+) -> FitChain:
+    """Balance -> normalize -> PCA (for PCA feature sets) on the speakers' frames.
+
+    Balancing picks rows by label first, so only the kept rows are
+    gathered. Raises DataError when no speaker is given.
+    """
+    if not speakers:
+        raise DataError("no usable training data (no speaker with confirmations)")
+    y = np.concatenate([s.labels for s in speakers])
+    keep = _balanced_rows(y, seed)
+    starts = np.cumsum([0] + [s.labels.size for s in speakers])
+    bal_x = np.concatenate([
+        s.vectors[keep[(keep >= lo) & (keep < hi)] - lo]
+        for s, lo, hi in zip(speakers, starts[:-1], starts[1:])
+    ])
+    normalizer = fit_normalizer(bal_x)
+    projected = normalizer.transform(bal_x)
+    pca = None
+    if config.uses_pca:
+        pca = fit_pca(projected, pca_epsilon)
+        projected = pca.transform(projected)
+    return FitChain(normalizer=normalizer, pca=pca, vectors=projected, labels=y[keep])
 
 
 def fit_bundle(
@@ -73,27 +125,17 @@ def fit_bundle(
     seed: int,
     pca_epsilon: float,
 ) -> ModelBundle:
-    """Balance -> normalize -> PCA (for PCA feature sets) -> SVM on the speakers' frames.
+    """`fit_chain` then `train_svm` on the speakers' frames.
 
     Raises DataError when no speaker is given.
     """
-    if not speakers:
-        raise DataError("no usable training data (no speaker with confirmations)")
-    x = np.concatenate([s.vectors for s in speakers])
-    y = np.concatenate([s.labels for s in speakers])
-    bal_x, bal_y = balance_classes(x, y, seed)
-    normalizer = fit_normalizer(bal_x)
-    projected = normalizer.transform(bal_x)
-    pca = None
-    if config.uses_pca:
-        pca = fit_pca(projected, pca_epsilon)
-        projected = pca.transform(projected)
+    chain = fit_chain(speakers, config, seed=seed, pca_epsilon=pca_epsilon)
     return ModelBundle(
         feature_config=config,
         hyperparams=params,
-        normalizer=normalizer,
-        pca=pca,
-        svm=train_svm(projected, bal_y, params),
+        normalizer=chain.normalizer,
+        pca=chain.pca,
+        svm=train_svm(chain.vectors, chain.labels, params),
     )
 
 
@@ -102,35 +144,65 @@ def _fold_seed(seed: int, speaker_id: str) -> int:
     return int(np.random.SeedSequence([seed, zlib.crc32(speaker_id.encode())]).generate_state(1)[0])
 
 
+def _grid_bundles(
+    chain: FitChain, config: FeatureSetConfig, grid: list[SvmHyperParams]
+) -> list[ModelBundle]:
+    """One model per grid point from one distance matrix and one SMO run per (C, gamma)."""
+    x = np.asarray(chain.vectors, dtype=np.float64)  # as train_svm takes them
+    y = np.asarray(chain.labels, dtype=np.float64)
+    runs: dict[float, dict[float, list[int]]] = {}
+    for index, params in enumerate(grid):
+        runs.setdefault(params.gamma, {}).setdefault(params.C, []).append(index)
+    d2 = squared_distances(x, x)
+    kernel = np.empty_like(d2)
+    svms: list[SvmModel | None] = [None] * len(grid)
+    for gamma, by_c in runs.items():
+        np.multiply(d2, -gamma, out=kernel)  # the bits of rbf_kernel(x, x, gamma)
+        np.exp(kernel, out=kernel)
+        for C, indices in by_c.items():
+            snapshots = smo_path(kernel, y, C, [grid[k].eps for k in indices])
+            for k, (alpha, bias, _) in zip(indices, snapshots):
+                svms[k] = support_model(x, y, alpha, bias, gamma)
+    return [ModelBundle(feature_config=config, hyperparams=params, normalizer=chain.normalizer,
+                        pca=chain.pca, svm=svm) for params, svm in zip(grid, svms)]
+
+
 def run_louo_folds(
     speakers: list[SpeakerFrames],
     config: FeatureSetConfig,
-    params: SvmHyperParams,
+    grid: SvmHyperParams | list[SvmHyperParams] | tuple[SvmHyperParams, ...],
     *,
     pca_epsilon: float = 0.95,
     seed: int = 0,
-) -> list[FoldResult]:
-    """One fold per speaker: fit_bundle on the rest, score the speaker unbalanced.
+) -> list[FoldResult] | list[list[FoldResult]]:
+    """One fold per speaker: fit every grid point on the rest, score the speaker unbalanced.
 
-    Fold accuracy counts signs only, so the held-out frames are scored in
-    one batch (`decide_many`).
+    `grid` is one SvmHyperParams (returns its folds) or a sequence of them
+    (returns each point's folds, in grid order). A fold runs `fit_chain`
+    once and builds all its models before the distance matrix and kernel
+    are dropped and the held-out speaker is scored. Fold accuracy counts
+    signs only, so the held-out frames are scored in one batch
+    (`decide_many`).
     """
     if len(speakers) < 2:
         raise MissingClass("leave-one-user-out needs at least two speakers")
-    results = []
+    single = isinstance(grid, SvmHyperParams)
+    points = [grid] if single else list(grid)
+    results: list[list[FoldResult]] = [[] for _ in points]
     for held_out in speakers:
         rest = [s for s in speakers if s.speaker_id != held_out.speaker_id]
-        bundle = fit_bundle(rest, config, params, seed=_fold_seed(seed, held_out.speaker_id),
-                            pca_epsilon=pca_epsilon)
-        predicted = np.where(bundle.decide_many(held_out.vectors) > 0.0, 1.0, -1.0)
-        accuracy = float(np.mean(predicted == held_out.labels))
-        results.append(FoldResult(
-            speaker_id=held_out.speaker_id,
-            accuracy=accuracy,
-            weight=held_out.weight,
-            n_test=held_out.labels.size,
-        ))
-    return results
+        chain = fit_chain(rest, config, seed=_fold_seed(seed, held_out.speaker_id),
+                          pca_epsilon=pca_epsilon)
+        bundles = _grid_bundles(chain, config, points)
+        for folds, bundle in zip(results, bundles):
+            predicted = np.where(bundle.decide_many(held_out.vectors) > 0.0, 1.0, -1.0)
+            folds.append(FoldResult(
+                speaker_id=held_out.speaker_id,
+                accuracy=float(np.mean(predicted == held_out.labels)),
+                weight=held_out.weight,
+                n_test=held_out.labels.size,
+            ))
+    return results[0] if single else results
 
 
 def weighted_accuracy(folds: list[FoldResult]) -> float:

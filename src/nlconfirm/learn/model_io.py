@@ -210,8 +210,9 @@ def load_model(path: str | Path) -> ModelBundle:
     truncated or inconsistent content, including a section name that is not
     UTF-8, a repeated section, bytes after the last section or the last
     array of a section, a JSON section that is not an object, an array of
-    the wrong rank, non-finite numbers, a non-positive normalizer std or a
-    non-positive RBF gamma.
+    the wrong rank, non-finite numbers (SVM hyperparameters included), a
+    non-positive hyperparameter or normalizer std or a non-positive RBF
+    gamma.
     """
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:

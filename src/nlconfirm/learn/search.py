@@ -1,4 +1,9 @@
-"""Hyperparameter grid search scored by cross-validated weighted accuracy."""
+"""Hyperparameter grid search scored by cross-validated weighted accuracy.
+
+The whole grid goes to the fold engine in one call, so each fold's fit
+chain and distance matrix are shared by every point, and one SMO run per
+(C, gamma) gives the models of all eps values (see `cv_core`).
+"""
 
 from __future__ import annotations
 
@@ -40,8 +45,12 @@ class GridPoint:
 
 @dataclass(frozen=True)
 class GridSearchResult:
-    best: SvmHyperParams
+    best_point: GridPoint
     points: list[GridPoint]
+
+    @property
+    def best(self) -> SvmHyperParams:
+        return self.best_point.params
 
 
 def grid_search(
@@ -58,13 +67,13 @@ def grid_search(
     grid is evaluated in that order, so the first strict maximum wins.
     """
     ordered = sorted(grid, key=lambda p: (p.C, p.eps, p.gamma))
+    per_point = run_louo_folds(speakers, config, ordered, pca_epsilon=pca_epsilon, seed=seed)
     points: list[GridPoint] = []
     best: GridPoint | None = None
-    for params in ordered:
-        folds = run_louo_folds(speakers, config, params, pca_epsilon=pca_epsilon, seed=seed)
+    for params, folds in zip(ordered, per_point):
         point = GridPoint(params=params, weighted_accuracy=weighted_accuracy(folds), folds=folds)
         points.append(point)
         if best is None or point.weighted_accuracy > best.weighted_accuracy:
             best = point
     assert best is not None
-    return GridSearchResult(best=best.params, points=points)
+    return GridSearchResult(best_point=best, points=points)

@@ -6,10 +6,16 @@ KKT-violating pair: i maximizing and j minimizing -y grad over the
 admissible index sets. Convergence is declared when the violation gap
 drops to the stopping tolerance. The kernel matrix is precomputed, which
 keeps per-iteration cost at two cached columns.
+
+The iterates do not depend on the tolerance, which only decides when the
+loop stops. `smo_path` therefore runs once for several tolerances and
+snapshots the solution at the first iteration whose gap is within each;
+`smo_solve` is that loop with one tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +35,8 @@ class SvmHyperParams:
     gamma: float
 
     def __post_init__(self):
-        if self.C <= 0 or self.eps <= 0 or self.gamma <= 0:
-            raise ValueError(f"hyperparameters must be positive, got {self}")
+        if not all(math.isfinite(v) and v > 0 for v in (self.C, self.eps, self.gamma)):
+            raise ValueError(f"hyperparameters must be finite and positive, got {self}")
 
     def to_dict(self) -> dict:
         return {"C": self.C, "eps": self.eps, "gamma": self.gamma}
@@ -58,31 +64,40 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, (len(a), len(b))."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(d2, 0.0)
+    # (|a|^2 + |b|^2) - 2 a.b, clipped at 0, in two (len(a), len(b)) buffers
+    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+    gram = a @ b.T
+    gram *= 2.0
+    d2 -= gram
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * squared_distances(a, b))
 
 
-def smo_solve(
+def smo_path(
     kernel: np.ndarray,
     labels: np.ndarray,
     C: float,
-    eps: float,
+    tolerances: list[float],
     max_iterations: int = MAX_ITERATIONS,
-) -> tuple[np.ndarray, float, int]:
-    """Run SMO on a precomputed kernel matrix.
+) -> list[tuple[np.ndarray, float, int]]:
+    """Run SMO once on a precomputed kernel matrix for one or more stopping tolerances.
 
-    Returns (alpha, bias, iterations). Raises ConvergenceFailure when the
-    iteration cap is hit before the maximal KKT violation falls to eps.
+    Returns one (alpha, bias, iterations) per tolerance, in the given
+    order: the solution at the first iteration whose maximal KKT violation
+    is within that tolerance, which is what a run stopping there returns.
+    Raises ConvergenceFailure when the iteration cap is hit before the
+    smallest tolerance is reached.
     """
     y = np.asarray(labels, dtype=np.float64)
     n = y.size
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
     pos = y > 0
+    pending = sorted(range(len(tolerances)), key=tolerances.__getitem__)  # largest last
+    snapshots: list = [None] * len(tolerances)
 
     for iteration in range(max_iterations):
         score = -y * grad
@@ -93,9 +108,12 @@ def smo_solve(
         i = int(np.argmax(up_score))
         j = int(np.argmin(low_score))
         gap = up_score[i] - low_score[j]
-        if gap <= eps:
+        if gap <= tolerances[pending[-1]]:
             bias = float((up_score[i] + low_score[j]) / 2.0)
-            return alpha, bias, iteration
+            while pending and gap <= tolerances[pending[-1]]:
+                snapshots[pending.pop()] = (alpha.copy(), bias, iteration)
+            if not pending:
+                return snapshots
         eta = max(kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j], 1e-12)
         step = gap / eta
         room_i = C - alpha[i] if pos[i] else alpha[i]
@@ -111,8 +129,42 @@ def smo_solve(
         grad += y * step * (kernel[:, i] - kernel[:, j])
 
     raise ConvergenceFailure(
-        f"SMO did not reach tolerance {eps} within {max_iterations} iterations"
+        f"SMO did not reach tolerance {tolerances[pending[0]]} within {max_iterations} iterations"
     )
+
+
+def smo_solve(
+    kernel: np.ndarray,
+    labels: np.ndarray,
+    C: float,
+    eps: float,
+    max_iterations: int = MAX_ITERATIONS,
+) -> tuple[np.ndarray, float, int]:
+    """Run SMO on a precomputed kernel matrix.
+
+    Returns (alpha, bias, iterations). Raises ConvergenceFailure when the
+    iteration cap is hit before the maximal KKT violation falls to eps.
+    """
+    return smo_path(kernel, labels, C, [eps], max_iterations)[0]
+
+
+def support_model(
+    vectors: np.ndarray, labels: np.ndarray, alpha: np.ndarray, bias: float, gamma: float
+) -> SvmModel:
+    """Keep the rows with alpha > 0 of an SMO solution as the model's support vectors.
+
+    Raises ConvergenceFailure when a class ends up with no support vector.
+    """
+    support = alpha > 0.0
+    model = SvmModel(
+        support_vectors=vectors[support],
+        alphas_signed=(alpha * labels)[support],
+        bias=bias,
+        gamma=gamma,
+    )
+    if not (np.any(model.alphas_signed > 0) and np.any(model.alphas_signed < 0)):
+        raise ConvergenceFailure("degenerate solution: a class ended up with no support vector")
+    return model
 
 
 def train_svm(
@@ -134,16 +186,7 @@ def train_svm(
         raise SingleClass("training data must contain both classes")
     kernel = rbf_kernel(x, x, params.gamma)
     alpha, bias, _ = smo_solve(kernel, y, params.C, params.eps, max_iterations)
-    support = alpha > 0.0
-    model = SvmModel(
-        support_vectors=x[support].copy(),
-        alphas_signed=(alpha * y)[support],
-        bias=bias,
-        gamma=params.gamma,
-    )
-    if not (np.any(model.alphas_signed > 0) and np.any(model.alphas_signed < 0)):
-        raise ConvergenceFailure("degenerate solution: a class ended up with no support vector")
-    return model
+    return support_model(x, y, alpha, bias, params.gamma)
 
 
 def decision_values(model: SvmModel, x: np.ndarray) -> np.ndarray:

@@ -9,8 +9,10 @@ import pytest
 from nlconfirm import cli
 from nlconfirm.cli import main
 from nlconfirm.corpus import load_segments, parse_manifest
-from nlconfirm.evaluate import frame_metrics
-from nlconfirm.learn import load_model
+from nlconfirm.evaluate import CvReport, frame_metrics, speaker_frames
+from nlconfirm.featset import FeatureKind, FeatureSetConfig
+from nlconfirm.learn import SvmHyperParams, load_model
+from nlconfirm.learn.cv_core import run_louo_folds
 from nlconfirm.pipeline import classify_segment
 
 FAST_SVM = ["--svm-c", "1", "--svm-eps", "0.1", "--svm-gamma", "0.05"]
@@ -110,6 +112,27 @@ def test_evaluate_scores_equal_streamed_scores(corpus_dir, tmp_path, monkeypatch
     streamed = np.concatenate([classify_segment(segment, bundle).frame_scores
                                for segment in load_segments(manifest)])
     assert np.array_equal(evaluated[0], streamed)
+
+
+def test_grid_searched_cv_report_equals_folds_at_best_point(corpus_dir, tmp_path):
+    # the report takes the winning point's folds from the search itself
+    manifest = corpus_dir / "manifest.csv"
+    assert run("evaluate", "--manifest", manifest, "--test-manifest", manifest,
+               "--features", "mfcc", "--grid-search", "--seed", 6, "--out", tmp_path) == 0
+    report = json.loads((tmp_path / "eval_mfcc.json").read_text())
+    config = FeatureSetConfig(FeatureKind.MFCC)
+    folds = run_louo_folds(speaker_frames(load_segments(manifest), config), config,
+                           SvmHyperParams.from_dict(report["params"]), seed=6)
+    assert report["cv"] == CvReport(folds=folds).to_dict()
+
+
+@pytest.mark.parametrize("svm_flags", [
+    ("--svm-c", "nan", "--svm-eps", "0.1", "--svm-gamma", "0.05"),
+    ("--svm-c", "1", "--svm-eps", "inf", "--svm-gamma", "0.05"),
+])
+def test_exit_code_non_finite_svm_flag(corpus_dir, tmp_path, svm_flags):
+    assert run("train", "--manifest", corpus_dir / "manifest.csv", "--features", "mfcc",
+               *svm_flags, "--out", tmp_path / "o") == 2
 
 
 def test_classify_then_listen_parity(corpus_dir, model_dir, tmp_path):

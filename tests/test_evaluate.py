@@ -15,10 +15,15 @@ from nlconfirm.evaluate import (
     speaker_frames,
 )
 from nlconfirm.featset import FeatureKind, FeatureSetConfig
-from nlconfirm.learn import SvmHyperParams
+from nlconfirm.learn import DEFAULT_GRID, SvmHyperParams, grid_search
+from nlconfirm.learn import cv_core
 from nlconfirm.learn.cv_core import (
     FoldResult,
+    SpeakerFrames,
+    _fold_seed,
     balance_classes,
+    fit_bundle,
+    fit_chain,
     run_louo_folds,
     weighted_accuracy,
 )
@@ -279,3 +284,101 @@ class TestGridSearch:
         b = grid_search(self._speakers(), TWO_DIM, seed=3)
         assert [p.weighted_accuracy for p in a.points] == [p.weighted_accuracy for p in b.points]
         assert a.best == b.best
+
+
+def overlapping_speakers(config, seed=11):
+    """Speakers whose classes overlap, so grid points and folds score differently."""
+    rng = np.random.default_rng(seed)
+    d = config.raw_dimension
+    speakers = []
+    for name, (n_pos, n_neg) in zip("abcd", [(14, 40), (20, 31), (9, 45), (17, 17)]):
+        shift = rng.normal(0.0, 0.3, d)
+        offset = 0.7 / np.sqrt(d)  # class means about 1.4 apart whatever the dimension
+        pos = rng.normal(offset, 1.0, (n_pos, d)) + shift
+        neg = rng.normal(-offset, 1.0, (n_neg, d)) + shift
+        order = rng.permutation(n_pos + n_neg)
+        speakers.append(SpeakerFrames(
+            speaker_id=name,
+            vectors=np.concatenate([pos, neg])[order],
+            labels=np.concatenate([np.ones(n_pos), -np.ones(n_neg)])[order],
+            weight=float(rng.integers(1, 6)),
+        ))
+    return speakers
+
+
+def reference_fold_accuracies(speakers, config, params, seed, pca_epsilon=0.95):
+    """One fit_bundle per fold, the held-out speaker scored by sign."""
+    out = []
+    for held_out in speakers:
+        rest = [s for s in speakers if s.speaker_id != held_out.speaker_id]
+        bundle = fit_bundle(rest, config, params, seed=_fold_seed(seed, held_out.speaker_id),
+                            pca_epsilon=pca_epsilon)
+        predicted = np.where(bundle.decide_many(held_out.vectors) > 0.0, 1.0, -1.0)
+        out.append((held_out.speaker_id, float(np.mean(predicted == held_out.labels))))
+    return out
+
+
+class TestGridOracle:
+    @pytest.mark.parametrize("kind", [FeatureKind.FORMANT_SD, FeatureKind.MFCC_DELTA])
+    def test_grid_equals_per_point_fits(self, kind):
+        config = FeatureSetConfig(kind)  # 2-D without PCA, 39-D with PCA
+        speakers = overlapping_speakers(config)
+        result = grid_search(speakers, config, seed=5)
+        expected = {}
+        for params in sorted(DEFAULT_GRID, key=lambda p: (p.C, p.eps, p.gamma)):
+            folds = reference_fold_accuracies(speakers, config, params, seed=5)
+            weights = [s.weight for s in speakers]
+            expected[params] = (folds, sum(a * w for (_, a), w in zip(folds, weights))
+                                / sum(weights))
+        assert [p.params for p in result.points] == list(expected)
+        for point in result.points:
+            folds, weighted = expected[point.params]
+            assert [(f.speaker_id, f.accuracy) for f in point.folds] == folds
+            assert point.weighted_accuracy == weighted
+        # the data do not tie everywhere, so a wrong snapshot would show
+        assert len({w for _, w in expected.values()}) > 4
+        best = max(expected, key=lambda p: (expected[p][1], -p.C, -p.eps, -p.gamma))
+        assert result.best == best
+        assert result.best_point.folds == run_louo_folds(speakers, config, best, seed=5)
+
+    def test_grid_with_repeats_and_any_order(self):
+        config = TWO_DIM
+        speakers = overlapping_speakers(config, seed=12)
+        grid = (SvmHyperParams(5.0, 0.5, 0.05), SvmHyperParams(1.0, 0.005, 0.05),
+                SvmHyperParams(5.0, 0.5, 0.05), SvmHyperParams(1.0, 0.1, 0.5))
+        per_point = run_louo_folds(speakers, config, grid, seed=2)
+        assert len(per_point) == len(grid)
+        for params, folds in zip(grid, per_point):
+            assert folds == run_louo_folds(speakers, config, params, seed=2)
+            assert [(f.speaker_id, f.accuracy) for f in folds] == \
+                reference_fold_accuracies(speakers, config, params, seed=2)
+
+    def test_one_distance_matrix_per_fold_one_smo_run_per_c_gamma(self, monkeypatch):
+        distances, smo_runs = [], []
+        real_distances, real_path = cv_core.squared_distances, cv_core.smo_path
+
+        def counting_distances(a, b):
+            distances.append(a.shape[0])
+            return real_distances(a, b)
+
+        def counting_path(kernel, labels, C, tolerances, *rest):
+            smo_runs.append((C, tuple(sorted(tolerances))))
+            return real_path(kernel, labels, C, tolerances, *rest)
+
+        monkeypatch.setattr(cv_core, "squared_distances", counting_distances)
+        monkeypatch.setattr(cv_core, "smo_path", counting_path)
+        speakers = overlapping_speakers(TWO_DIM)
+        grid_search(speakers, TWO_DIM, seed=0)
+        assert len(distances) == len(speakers)
+        assert len(smo_runs) == len(speakers) * 2 * 2  # folds x C x gamma
+        assert all(tolerances == (0.005, 0.05, 0.1, 0.5) for _, tolerances in smo_runs)
+
+    def test_chain_gathers_the_balanced_rows(self):
+        config = TWO_DIM
+        speakers = overlapping_speakers(config, seed=13)
+        chain = fit_chain(speakers, config, seed=4, pca_epsilon=0.95)
+        x = np.concatenate([s.vectors for s in speakers])
+        y = np.concatenate([s.labels for s in speakers])
+        bal_x, bal_y = balance_classes(x, y, seed=4)
+        assert chain.vectors.tobytes() == chain.normalizer.transform(bal_x).tobytes()
+        assert chain.labels.tobytes() == bal_y.tobytes()

@@ -247,6 +247,23 @@ def test_non_object_json_section_rejected(tmp_path, index, payload):
         load_model(path)
 
 
+@pytest.mark.parametrize("payload", [
+    b'{"C": NaN, "eps": Infinity, "gamma": 0.05}',
+    b'{"C": 1.0, "eps": 0.05, "gamma": Infinity}',
+    b'{"C": Infinity, "eps": 0.05, "gamma": 0.05}',
+    b'{"C": 1.0, "eps": NaN, "gamma": 0.05}',
+])
+def test_non_finite_hyperparams_rejected(tmp_path, payload):
+    path = tmp_path / "model.nlcm"
+    save_model(make_bundle(FeatureKind.FORMANT_SD), path)
+    blob = path.read_bytes()
+    sections = _section_blobs(blob)
+    sections[1] = _section(b"hyperparams", payload)
+    path.write_bytes(blob[:12] + b"".join(sections))
+    with pytest.raises(CorruptModel):
+        load_model(path)
+
+
 @pytest.fixture(scope="module")
 def saved_delta_model(tmp_path_factory) -> bytes:
     """Bytes of a saved mfcc_delta model; it has a PCA section."""

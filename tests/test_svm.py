@@ -1,7 +1,11 @@
 """SMO training, kernel identities and the decision function."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlconfirm.errors import ConvergenceFailure, DimensionMismatch, SingleClass
 from nlconfirm.learn import (
@@ -11,7 +15,7 @@ from nlconfirm.learn import (
     rbf_kernel,
     train_svm,
 )
-from nlconfirm.learn.svm import decision_values, smo_solve
+from nlconfirm.learn.svm import _SNAP, decision_values, smo_path, smo_solve
 
 
 def blobs(n_per_class=40, separation=4.0, seed=0, dim=2):
@@ -102,6 +106,91 @@ class TestTraining:
         fa = decision_values(train_svm(XOR_X, XOR_Y, params), XOR_X)
         fb = decision_values(train_svm(XOR_X, -XOR_Y, params), XOR_X)
         assert np.array_equal(fa, -fb)
+
+
+def reference_smo(kernel, y, C, eps, max_iterations):
+    """Single-tolerance SMO loop kept apart from the library: (alpha, bias, iterations).
+
+    Returns None when the iteration cap is hit first.
+    """
+    alpha = np.zeros(y.size)
+    grad = -np.ones(y.size)
+    pos = y > 0
+    for iteration in range(max_iterations):
+        score = -y * grad
+        up = (pos & (alpha < C)) | (~pos & (alpha > 0.0))
+        low = (~pos & (alpha < C)) | (pos & (alpha > 0.0))
+        up_score = np.where(up, score, -np.inf)
+        low_score = np.where(low, score, np.inf)
+        i = int(np.argmax(up_score))
+        j = int(np.argmin(low_score))
+        gap = up_score[i] - low_score[j]
+        if gap <= eps:
+            return alpha, float((up_score[i] + low_score[j]) / 2.0), iteration
+        eta = max(kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j], 1e-12)
+        step = min(gap / eta, C - alpha[i] if pos[i] else alpha[i],
+                   alpha[j] if pos[j] else C - alpha[j])
+        alpha[i] += y[i] * step
+        alpha[j] -= y[j] * step
+        for k in (i, j):
+            if alpha[k] < _SNAP * C:
+                alpha[k] = 0.0
+            elif alpha[k] > C * (1.0 - _SNAP):
+                alpha[k] = C
+        grad += y * step * (kernel[:, i] - kernel[:, j])
+    return None
+
+
+class TestSnapshotPath:
+    """One SMO run snapshots every tolerance exactly as a run stopping there."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_per_class=st.integers(2, 30),
+        separation=st.floats(0.0, 3.0),
+        C=st.sampled_from([0.5, 1.0, 5.0]),
+        gamma=st.sampled_from([0.005, 0.05, 0.5]),
+        tolerances=st.lists(st.sampled_from([0.001, 0.005, 0.05, 0.1, 0.5, 2.0]),
+                            min_size=1, max_size=6),
+        max_iterations=st.sampled_from([1, 5, 40, 1_000_000]),
+    )
+    def test_snapshots_equal_independent_runs(self, seed, n_per_class, separation, C, gamma,
+                                              tolerances, max_iterations):
+        x, y = blobs(n_per_class=n_per_class, separation=separation, seed=seed)
+        kernel = rbf_kernel(x, x, gamma)
+        expected = [reference_smo(kernel, y, C, eps, max_iterations) for eps in tolerances]
+        if expected[int(np.argmin(tolerances))] is None:
+            with pytest.raises(ConvergenceFailure):
+                smo_path(kernel, y, C, tolerances, max_iterations)
+            with pytest.raises(ConvergenceFailure):
+                smo_solve(kernel, y, C, min(tolerances), max_iterations)
+            return
+        path = smo_path(kernel, y, C, tolerances, max_iterations)
+        assert len(path) == len(tolerances)
+        for eps, (alpha, bias, iterations), (ref_alpha, ref_bias, ref_iterations) in zip(
+                tolerances, path, expected):
+            assert alpha.tobytes() == ref_alpha.tobytes()
+            assert bias == ref_bias and iterations == ref_iterations
+            solo = smo_solve(kernel, y, C, eps, max_iterations)
+            assert solo[0].tobytes() == ref_alpha.tobytes()
+            assert (solo[1], solo[2]) == (ref_bias, ref_iterations)
+
+    def test_snapshots_are_copies(self):
+        x, y = blobs(separation=1.0, seed=9)
+        kernel = rbf_kernel(x, x, 0.1)
+        loose, tight = smo_path(kernel, y, 1.0, [0.5, 0.005])
+        assert loose[2] < tight[2]
+        assert not np.array_equal(loose[0], tight[0])
+
+
+class TestHyperParams:
+    @pytest.mark.parametrize("field", ["C", "eps", "gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_finite_positive_required(self, field, value):
+        fields = {"C": 1.0, "eps": 0.05, "gamma": 0.05, field: value}
+        with pytest.raises(ValueError):
+            SvmHyperParams(**fields)
 
 
 class TestDecision:
