@@ -69,6 +69,5 @@ from .evaluate import (
     roc_auc,
     segment_metrics,
 )
-from .synth import SynthConfig, generate_corpus
 
 __version__ = "0.1.0"

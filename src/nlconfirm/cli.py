@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -51,7 +52,6 @@ from .learn import (
 )
 from .learn.cv_core import fit_bundle, run_louo_folds
 from .pipeline import classify_offline, classify_segment, segment_score, trigger_time_ms
-from .synth import SynthConfig, generate_corpus
 
 PCA_EPSILON = 0.95
 
@@ -118,6 +118,8 @@ def _explicit_params(args: argparse.Namespace) -> SvmHyperParams | None:
 
 
 def cmd_synth_corpus(args: argparse.Namespace) -> int:
+    from .synth import SynthConfig, generate_corpus  # the one command that needs scipy
+
     ctx = _context(args)
     config = SynthConfig(
         speakers=args.speakers,
@@ -399,6 +401,25 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             setattr(args, key, _coerce(raw, action))
 
 
+# numeric flags whose bad values would otherwise fail deep inside a command
+# or run to no effect: dest -> (accepts, expected range)
+_RANGES = {
+    "train_fraction": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "pca_epsilon": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    # a segment latches when the mean of 5 votes of +-1 exceeds the threshold
+    "majority_threshold": (lambda v: -1.0 <= v < 1.0, "in [-1, 1)"),
+    "vad_threshold": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    "hangover_ms": (lambda v: v >= 0, ">= 0"),
+}
+
+
+def _check_ranges(args: argparse.Namespace) -> None:
+    for dest, (accepts, expected) in _RANGES.items():
+        value = getattr(args, dest, None)
+        if value is not None and not accepts(value):
+            raise ConfigError(f"--{dest.replace('_', '-')} must be {expected}, got {value}")
+
+
 def _add_common(parser: argparse.ArgumentParser, *, manifest: bool = True) -> None:
     parser.add_argument("--out", required=True, help="output directory for artifacts")
     parser.add_argument("--seed", type=int, default=0)
@@ -498,6 +519,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _apply_config_file(args)
+        _check_ranges(args)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

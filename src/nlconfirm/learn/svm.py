@@ -4,8 +4,10 @@ The dual problem  min 1/2 a'Qa - e'a  s.t. y'a = 0, 0 <= a <= C  (with
 Q_ij = y_i y_j K_ij) is solved by repeatedly optimizing the maximal
 KKT-violating pair: i maximizing and j minimizing -y grad over the
 admissible index sets. Convergence is declared when the violation gap
-drops to the stopping tolerance. The kernel matrix is precomputed, which
-keeps per-iteration cost at two cached columns.
+drops to the stopping tolerance. The kernel matrix is precomputed and
+symmetric, so an iteration reads two contiguous kernel rows (as LIBSVM's
+solver reads rows of Q) and updates the admissible sets at the two
+indices it changed; its scalar work runs on Python floats.
 
 The iterates do not depend on the tolerance, which only decides when the
 loop stops. `smo_path` therefore runs once for several tolerances and
@@ -89,44 +91,72 @@ def smo_path(
     order: the solution at the first iteration whose maximal KKT violation
     is within that tolerance, which is what a run stopping there returns.
     Raises ConvergenceFailure when the iteration cap is hit before the
-    smallest tolerance is reached.
+    smallest tolerance is reached, and ValueError when no tolerance is
+    given.
+
+    The kernel must be a bitwise symmetric float64 matrix, as
+    `rbf_kernel(x, x, gamma)` and `squared_distances(x, x)` build it
+    (numpy computes x @ x.T with a symmetric rank-k update): the loop
+    reads row i where the column K[:, i] is meant.
     """
+    if not tolerances:
+        raise ValueError("smo_path needs at least one tolerance")
     y = np.asarray(labels, dtype=np.float64)
     n = y.size
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
+    neg_y = -y
     pos = y > 0
+    grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
+    score = neg_y * grad
+    up = pos.copy()  # admissible sets at alpha = 0, then kept at the changed indices
+    low = ~pos
+    change = np.empty(n)
+    # scalar work on Python floats: the same doubles as numpy scalars, without their overhead
+    C = float(C)
+    alpha = [0.0] * n
+    y_list, pos_list = y.tolist(), pos.tolist()
+    diagonal = kernel.diagonal().tolist()
+    snap_low, snap_high = _SNAP * C, C * (1.0 - _SNAP)
     pending = sorted(range(len(tolerances)), key=tolerances.__getitem__)  # largest last
     snapshots: list = [None] * len(tolerances)
 
     for iteration in range(max_iterations):
-        score = -y * grad
-        up = (pos & (alpha < C)) | (~pos & (alpha > 0.0))
-        low = (~pos & (alpha < C)) | (pos & (alpha > 0.0))
         up_score = np.where(up, score, -np.inf)
         low_score = np.where(low, score, np.inf)
-        i = int(np.argmax(up_score))
-        j = int(np.argmin(low_score))
-        gap = up_score[i] - low_score[j]
+        i = int(up_score.argmax())
+        j = int(low_score.argmin())
+        score_i, score_j = up_score.item(i), low_score.item(j)
+        gap = score_i - score_j
         if gap <= tolerances[pending[-1]]:
-            bias = float((up_score[i] + low_score[j]) / 2.0)
+            bias = (score_i + score_j) / 2.0
             while pending and gap <= tolerances[pending[-1]]:
-                snapshots[pending.pop()] = (alpha.copy(), bias, iteration)
+                snapshots[pending.pop()] = (np.array(alpha), bias, iteration)
             if not pending:
                 return snapshots
-        eta = max(kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j], 1e-12)
+        row_i, row_j = kernel[i], kernel[j]
+        eta = max(diagonal[i] + diagonal[j] - 2.0 * row_i.item(j), 1e-12)
         step = gap / eta
-        room_i = C - alpha[i] if pos[i] else alpha[i]
-        room_j = alpha[j] if pos[j] else C - alpha[j]
+        room_i = C - alpha[i] if pos_list[i] else alpha[i]
+        room_j = alpha[j] if pos_list[j] else C - alpha[j]
         step = min(step, room_i, room_j)
-        alpha[i] += y[i] * step
-        alpha[j] -= y[j] * step
+        alpha[i] += y_list[i] * step
+        alpha[j] -= y_list[j] * step
         for k in (i, j):
-            if alpha[k] < _SNAP * C:
+            if alpha[k] < snap_low:
                 alpha[k] = 0.0
-            elif alpha[k] > C * (1.0 - _SNAP):
+            elif alpha[k] > snap_high:
                 alpha[k] = C
-        grad += y * step * (kernel[:, i] - kernel[:, j])
+            above_zero, below_c = alpha[k] > 0.0, alpha[k] < C
+            up[k] = below_c if pos_list[k] else above_zero
+            low[k] = above_zero if pos_list[k] else below_c
+        # grad += y * step * (K[:, i] - K[:, j]); y * (step * d) rounds |step * d| once,
+        # as (y * step) * d does, so the doubles are the same. The score is taken from
+        # grad, not updated as score - step * d: where that cancels to zero it gives
+        # +0.0 and -y * grad gives -0.0, which reaches the bias.
+        np.subtract(row_i, row_j, out=change)
+        change *= step
+        change *= y
+        grad += change
+        np.multiply(neg_y, grad, out=score)
 
     raise ConvergenceFailure(
         f"SMO did not reach tolerance {tolerances[pending[0]]} within {max_iterations} iterations"

@@ -135,6 +135,38 @@ def test_exit_code_non_finite_svm_flag(corpus_dir, tmp_path, svm_flags):
                *svm_flags, "--out", tmp_path / "o") == 2
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("evaluate", ("--train-fraction", "1.5")),
+    ("evaluate", ("--train-fraction", "0")),
+    ("evaluate", ("--train-fraction", "nan")),
+    ("evaluate", ("--pca-epsilon", "0")),
+    ("evaluate", ("--pca-epsilon", "1.5")),
+    ("evaluate", ("--pca-epsilon", "nan")),
+    ("classify", ("--majority-threshold", "nan")),
+    ("classify", ("--majority-threshold", "2")),
+    ("listen", ("--hangover-ms", "-50")),
+    ("listen", ("--vad-threshold", "nan")),
+    ("listen", ("--vad-threshold", "-1")),
+])
+def test_exit_code_numeric_flag_out_of_range(corpus_dir, model_dir, tmp_path, command, flags):
+    inputs = {
+        "evaluate": ("--manifest", corpus_dir / "manifest.csv", "--features", "mfcc_delta",
+                     *FAST_SVM),
+        "classify": ("--manifest", corpus_dir / "manifest.csv", "--model",
+                     model_dir / "model.nlcm"),
+        "listen": ("--wav", corpus_dir / "wavs" / "spk00.wav", "--model",
+                   model_dir / "model.nlcm"),
+    }
+    assert run(command, *inputs[command], *flags, "--out", tmp_path / "o") == 2
+
+
+def test_out_of_range_value_from_config_file(corpus_dir, model_dir, tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_text("majority_threshold = 1\n")
+    assert run("classify", "--manifest", corpus_dir / "manifest.csv", "--model",
+               model_dir / "model.nlcm", "--config", config, "--out", tmp_path / "o") == 2
+
+
 def test_classify_then_listen_parity(corpus_dir, model_dir, tmp_path):
     classify_out = tmp_path / "cls"
     assert run("classify", "--manifest", corpus_dir / "manifest.csv",

@@ -15,7 +15,7 @@ from nlconfirm.learn import (
     rbf_kernel,
     train_svm,
 )
-from nlconfirm.learn.svm import _SNAP, decision_values, smo_path, smo_solve
+from nlconfirm.learn.svm import _SNAP, decision_values, smo_path, smo_solve, squared_distances
 
 
 def blobs(n_per_class=40, separation=4.0, seed=0, dim=2):
@@ -31,6 +31,26 @@ XOR_X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
 XOR_Y = np.array([-1.0, -1.0, 1.0, 1.0])
 
 
+def checkerboard(side, repeats):
+    """A side x side lattice labelled like XOR, each point repeated: many scores tie."""
+    a, b = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    x = np.stack([a.ravel(), b.ravel()], axis=1).astype(np.float64)
+    y = np.where((a.ravel() + b.ravel()) % 2 == 0, -1.0, 1.0)
+    return np.repeat(x, repeats, axis=0), np.repeat(y, repeats)
+
+
+def training_data(shape, seed, n_per_class, separation):
+    """Blobs, XOR-style lattices, blobs whose rows all appear twice, or one row per class."""
+    if shape == "xor":
+        return checkerboard(side=2 + seed % 3, repeats=1 + n_per_class % 3)
+    if shape == "pair":  # the first step often cancels both scores to exactly zero
+        return np.array([[0.0], [1.0 + separation]]), np.array([1.0, -1.0])
+    x, y = blobs(n_per_class=n_per_class, separation=separation, seed=seed)
+    if shape == "duplicates":
+        return np.repeat(x, 2, axis=0), np.repeat(y, 2)
+    return x, y
+
+
 class TestKernel:
     def test_self_similarity_is_one(self):
         rng = np.random.default_rng(0)
@@ -41,6 +61,17 @@ class TestKernel:
     def test_known_value(self):
         k = rbf_kernel(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]), gamma=0.5)
         assert k[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 80), d=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 30.0]), gamma=st.sampled_from([0.005, 0.05, 0.5]))
+    def test_self_kernel_is_bitwise_symmetric(self, n, d, seed, scale, gamma):
+        # smo_path reads kernel rows in place of columns, which needs K == K.T bit for bit
+        x = scale * np.random.default_rng(seed).standard_normal((n, d))
+        d2 = squared_distances(x, x)
+        k = rbf_kernel(x, x, gamma)
+        assert d2.tobytes() == np.ascontiguousarray(d2.T).tobytes()
+        assert k.tobytes() == np.ascontiguousarray(k.T).tobytes()
 
 
 class TestTraining:
@@ -146,6 +177,7 @@ class TestSnapshotPath:
 
     @settings(max_examples=120, deadline=None)
     @given(
+        shape=st.sampled_from(["blobs", "xor", "duplicates", "pair"]),
         seed=st.integers(0, 2**32 - 1),
         n_per_class=st.integers(2, 30),
         separation=st.floats(0.0, 3.0),
@@ -155,9 +187,9 @@ class TestSnapshotPath:
                             min_size=1, max_size=6),
         max_iterations=st.sampled_from([1, 5, 40, 1_000_000]),
     )
-    def test_snapshots_equal_independent_runs(self, seed, n_per_class, separation, C, gamma,
-                                              tolerances, max_iterations):
-        x, y = blobs(n_per_class=n_per_class, separation=separation, seed=seed)
+    def test_snapshots_equal_independent_runs(self, shape, seed, n_per_class, separation, C,
+                                              gamma, tolerances, max_iterations):
+        x, y = training_data(shape, seed, n_per_class, separation)
         kernel = rbf_kernel(x, x, gamma)
         expected = [reference_smo(kernel, y, C, eps, max_iterations) for eps in tolerances]
         if expected[int(np.argmin(tolerances))] is None:
@@ -170,11 +202,32 @@ class TestSnapshotPath:
         assert len(path) == len(tolerances)
         for eps, (alpha, bias, iterations), (ref_alpha, ref_bias, ref_iterations) in zip(
                 tolerances, path, expected):
+            # bytes, not ==: a bias of -0.0 for 0.0 changes the saved model
             assert alpha.tobytes() == ref_alpha.tobytes()
-            assert bias == ref_bias and iterations == ref_iterations
+            assert np.float64(bias).tobytes() == np.float64(ref_bias).tobytes()
+            assert iterations == ref_iterations
             solo = smo_solve(kernel, y, C, eps, max_iterations)
             assert solo[0].tobytes() == ref_alpha.tobytes()
-            assert (solo[1], solo[2]) == (ref_bias, ref_iterations)
+            assert np.float64(solo[1]).tobytes() == np.float64(ref_bias).tobytes()
+            assert solo[2] == ref_iterations
+
+    def test_cancelled_scores_keep_their_signed_zero(self):
+        # one row per class: the first step cancels both scores to exactly zero and
+        # the positive row's -y * grad is -0.0, so the bias is -0.0; updating the
+        # score as score - step * d instead would round the sum to +0.0
+        x, y = np.array([[0.0], [1.0]]), np.array([1.0, -1.0])
+        kernel = rbf_kernel(x, x, 0.5)
+        alpha, bias, iterations = smo_path(kernel, y, 5.0, [0.005])[0]
+        ref_alpha, ref_bias, ref_iterations = reference_smo(kernel, y, 5.0, 0.005, 1_000_000)
+        assert np.float64(ref_bias).tobytes() == np.float64(-0.0).tobytes()
+        assert alpha.tobytes() == ref_alpha.tobytes()
+        assert np.float64(bias).tobytes() == np.float64(ref_bias).tobytes()
+        assert iterations == ref_iterations
+
+    def test_no_tolerance_rejected(self):
+        x, y = blobs(n_per_class=3)
+        with pytest.raises(ValueError):
+            smo_path(rbf_kernel(x, x, 0.1), y, 1.0, [])
 
     def test_snapshots_are_copies(self):
         x, y = blobs(separation=1.0, seed=9)
