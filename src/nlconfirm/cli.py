@@ -2,7 +2,8 @@
 
 Commands: synth-corpus, extract, train, grid-search, evaluate, classify,
 listen. Every command takes --out for its artifacts and writes a
-run_metadata.json echoing the configuration, the seed and timings.
+run_metadata.json echoing the configuration, the seed and timings: the
+run's duration plus per-stage seconds and counters (see `stats`).
 
 Exit codes: 0 success, 2 configuration error, 3 data error (including any
 OSError on an input or output path), 4 numerical error.
@@ -15,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from .evaluate import (
     segment_metrics,
     speaker_frames,
 )
-from .featset import FeatureKind, FeatureSetConfig, extract, feature_matrix
+from .featset import FeatureKind, FeatureSetConfig, extract_matrix
 from .learn import (
     DEFAULT_SVM_PARAMS,
     SvmHyperParams,
@@ -51,7 +52,14 @@ from .learn import (
     save_model_json,
 )
 from .learn.cv_core import fit_bundle, run_louo_folds
-from .pipeline import classify_offline, classify_segment, segment_score, trigger_time_ms
+from .pipeline import (
+    classify_block,
+    classify_offline,
+    classify_segment,
+    segment_score,
+    trigger_time_ms,
+)
+from .stats import Stats
 
 PCA_EPSILON = 0.95
 
@@ -61,6 +69,7 @@ class RunContext:
     out_dir: Path
     started: float
     args: dict
+    stats: Stats = field(default_factory=Stats)
 
     def finish(self, extra: dict | None = None) -> None:
         meta = {
@@ -68,6 +77,7 @@ class RunContext:
             "command": self.args.get("command"),
             "config": {k: v for k, v in self.args.items() if k != "command"},
             "duration_s": round(time.perf_counter() - self.started, 3),
+            **self.stats.to_dict(),
         }
         if extra:
             meta.update(extra)
@@ -137,13 +147,18 @@ def cmd_extract(args: argparse.Namespace) -> int:
     ctx = _context(args)
     kind = _single_kind(args.features)
     config = FeatureSetConfig(kind)
-    segments = load_segments(args.manifest)
+    stats = ctx.stats
+    with stats.stage("load"):
+        segments = load_segments(args.manifest)
     feature_dir = ctx.out_dir / "features"
     feature_dir.mkdir(parents=True, exist_ok=True)
     index = []
     for seg in segments:
-        vectors = extract(frame_stream(seg), config)
-        matrix = feature_matrix(vectors)
+        with stats.stage("extract"):
+            frames = frame_stream(seg)
+            indices, matrix = extract_matrix(frames, config)
+        stats.count("frames", len(frames))
+        stats.count("vectors", len(indices))
         name = f"{seg.segment_id}.csv"
         with (feature_dir / name).open("w") as fh:
             fh.write(",".join(f"f{i}" for i in range(matrix.shape[1])) + "\n")
@@ -155,7 +170,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             "speaker_id": seg.speaker_id,
             "label": seg.label.value if seg.label else None,
             "rows": int(matrix.shape[0]),
-            "first_frame_index": vectors[0].frame_index,
+            "first_frame_index": indices[0],
         })
     sidecar = {"config": config.to_dict(), "segments": index}
     (ctx.out_dir / "features.json").write_text(json.dumps(sidecar, indent=2))
@@ -168,16 +183,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     ctx = _context(args)
     kind = _single_kind(args.features)
     config = FeatureSetConfig(kind)
-    speakers = speaker_frames(load_segments(args.manifest), config)
+    stats = ctx.stats
+    with stats.stage("load"):
+        segments = load_segments(args.manifest)
+    with stats.stage("extract"):
+        speakers = speaker_frames(segments, config, stats)
     params = _explicit_params(args)
     searched = None
     if params is None and args.grid_search:
-        result = grid_search(speakers, config, pca_epsilon=args.pca_epsilon, seed=args.seed)
+        with stats.stage("search"):
+            result = grid_search(speakers, config, pca_epsilon=args.pca_epsilon, seed=args.seed)
         params = result.best
         searched = result
     if params is None:
         params = DEFAULT_SVM_PARAMS[kind]
-    bundle = fit_bundle(speakers, config, params, seed=args.seed, pca_epsilon=args.pca_epsilon)
+    with stats.stage("fit"):
+        bundle = fit_bundle(speakers, config, params, seed=args.seed,
+                            pca_epsilon=args.pca_epsilon)
     model_path = ctx.out_dir / args.model_name
     save_model(bundle, model_path)
     save_model_json(bundle, model_path.with_suffix(model_path.suffix + ".json"))
@@ -195,9 +217,13 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
     ctx = _context(args)
     kind = _single_kind(args.features)
     config = FeatureSetConfig(kind)
-    segments = load_segments(args.manifest)
-    speakers = speaker_frames(segments, config)
-    result = grid_search(speakers, config, pca_epsilon=args.pca_epsilon, seed=args.seed)
+    stats = ctx.stats
+    with stats.stage("load"):
+        segments = load_segments(args.manifest)
+    with stats.stage("extract"):
+        speakers = speaker_frames(segments, config, stats)
+    with stats.stage("search"):
+        result = grid_search(speakers, config, pca_epsilon=args.pca_epsilon, seed=args.seed)
     rows = []
     print(f"{'C':>6} {'eps':>7} {'gamma':>7} {'weighted CV accuracy':>22}")
     for point in result.points:
@@ -218,21 +244,28 @@ def _evaluate_kind(
     train_segments: list[AudioSegment],
     test_segments: list[AudioSegment],
     args: argparse.Namespace,
+    stats: Stats,
 ) -> EvalReport:
     config = FeatureSetConfig(kind)
     params = _explicit_params(args)
-    speakers = speaker_frames(train_segments, config)
-    if args.grid_search and params is None:
-        result = grid_search(speakers, config, pca_epsilon=args.pca_epsilon, seed=args.seed)
-        params, folds = result.best, result.best_point.folds
-    else:
-        params = params or DEFAULT_SVM_PARAMS[kind]
-        folds = run_louo_folds(speakers, config, params, pca_epsilon=args.pca_epsilon,
-                               seed=args.seed)
+    with stats.stage("extract"):
+        speakers = speaker_frames(train_segments, config, stats)
+    with stats.stage("search"):  # cross-validation: over the grid, or at fixed parameters
+        if args.grid_search and params is None:
+            result = grid_search(speakers, config, pca_epsilon=args.pca_epsilon,
+                                 seed=args.seed)
+            params, folds = result.best, result.best_point.folds
+        else:
+            params = params or DEFAULT_SVM_PARAMS[kind]
+            folds = run_louo_folds(speakers, config, params, pca_epsilon=args.pca_epsilon,
+                                   seed=args.seed)
     cv = CvReport(folds=folds)
-    bundle = fit_bundle(speakers, config, params, seed=args.seed, pca_epsilon=args.pca_epsilon)
+    with stats.stage("fit"):
+        bundle = fit_bundle(speakers, config, params, seed=args.seed,
+                            pca_epsilon=args.pca_epsilon)
 
-    decisions = classify_offline(test_segments, bundle, args.majority_threshold)
+    with stats.stage("classify"):
+        decisions = classify_offline(test_segments, bundle, args.majority_threshold, stats)
     truth = [seg.label for seg in test_segments]
     scores = np.concatenate([d.frame_scores for d in decisions])
     labels = np.concatenate([np.full(d.frame_scores.size, label_sign(t))
@@ -258,20 +291,21 @@ def _evaluate_kind(
 def cmd_evaluate(args: argparse.Namespace) -> int:
     ctx = _context(args)
     kinds = _feature_kinds(args.features)
-    if args.test_manifest:
-        train_segments = load_segments(args.manifest)
-        test_segments = load_segments(args.test_manifest)
-    else:
-        segments = load_segments(args.manifest)
-        split = split_corpus(segments, args.train_fraction, args.seed)
-        train_segments, test_segments = split.train, split.test
+    with ctx.stats.stage("load"):
+        if args.test_manifest:
+            train_segments = load_segments(args.manifest)
+            test_segments = load_segments(args.test_manifest)
+        else:
+            segments = load_segments(args.manifest)
+            split = split_corpus(segments, args.train_fraction, args.seed)
+            train_segments, test_segments = split.train, split.test
     header = (f"{'feature set':<18} {'dim':>9} {'cv accuracy':>15} "
               f"{'TPR%':>6} {'FPR%':>6} {'AUC':>6} {'seg acc':>8}")
     print(header)
     print("-" * len(header))
     summary = []
     for kind in kinds:
-        report = _evaluate_kind(kind, train_segments, test_segments, args)
+        report = _evaluate_kind(kind, train_segments, test_segments, args, ctx.stats)
         dim = (f"{report.raw_dimension}->{report.model_dimension}"
                if report.model_dimension != report.raw_dimension else f"{report.raw_dimension}")
         cv_range = f"{report.cv.min_accuracy * 100:.1f}-{report.cv.max_accuracy * 100:.1f}"
@@ -289,13 +323,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     ctx = _context(args)
-    bundle = load_model(args.model)
-    segments = load_segments(args.manifest)
+    stats = ctx.stats
+    with stats.stage("load"):
+        bundle = load_model(args.model)
+        segments = load_segments(args.manifest)
     frame_dir = ctx.out_dir / "frames"
     frame_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for segment in segments:
-        decision = classify_segment(segment, bundle, args.majority_threshold)
+        with stats.stage("classify"):
+            frames = frame_stream(segment)
+            decision = classify_block(frames, bundle, args.majority_threshold)
+        stats.count("frames", len(frames))
+        stats.count("vectors", decision.frame_scores.size)
         with (frame_dir / f"{segment.segment_id}.csv").open("w") as fh:
             fh.write("frame_index,decision_value,prediction\n")
             for idx, score in zip(decision.frame_indices, decision.frame_scores):
@@ -316,30 +356,34 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_listen(args: argparse.Namespace) -> int:
     ctx = _context(args)
-    bundle = load_model(args.model)
-    audio = load_wav(args.wav)
-    if args.manifest:
-        segments = [s for s in load_segments(args.manifest)
-                    if Path(s.source_id).name == Path(args.wav).name]
-        if not segments:
-            raise DataError(f"manifest has no segments for {args.wav}")
-    else:
-        segments = vad_segments(
-            audio, VadConfig(threshold=args.vad_threshold, hangover_ms=args.hangover_ms),
-            source_id=Path(args.wav).name,
-        )
+    stats = ctx.stats
+    with stats.stage("load"):
+        bundle = load_model(args.model)
+        audio = load_wav(args.wav)
+        if args.manifest:
+            segments = [s for s in load_segments(args.manifest)
+                        if Path(s.source_id).name == Path(args.wav).name]
+            if not segments:
+                raise DataError(f"manifest has no segments for {args.wav}")
+        else:
+            segments = vad_segments(
+                audio, VadConfig(threshold=args.vad_threshold, hangover_ms=args.hangover_ms),
+                source_id=Path(args.wav).name,
+            )
     events = []
     audio_seconds = sum(len(s.samples) for s in segments) / audio.sample_rate
-    start = time.perf_counter()
-    for segment in segments:
-        trigger = classify_segment(segment, bundle, args.majority_threshold).trigger
-        if trigger is not None:
-            events.append({
-                "segment_id": segment.segment_id,
-                "trigger_time_ms": trigger_time_ms(segment, trigger.frame_index),
-                "rolling_mean": trigger.rolling_mean,
-            })
-    wall = time.perf_counter() - start
+    with stats.stage("classify"):
+        for segment in segments:
+            decision = classify_segment(segment, bundle, args.majority_threshold)
+            stats.count("vectors", decision.frame_scores.size)
+            trigger = decision.trigger
+            if trigger is not None:
+                events.append({
+                    "segment_id": segment.segment_id,
+                    "trigger_time_ms": trigger_time_ms(segment, trigger.frame_index),
+                    "rolling_mean": trigger.rolling_mean,
+                })
+    wall = stats.stages["classify"]
     rtf = wall / audio_seconds if audio_seconds else 0.0
     with (ctx.out_dir / "triggers.ndjson").open("w") as fh:
         for event in events:

@@ -1,8 +1,11 @@
 """Per-frame signal-processing primitives.
 
-Pure functions on 1-D numpy arrays; window and filterbank tables are
-precomputed, immutable and shared. Windowing happens in the feature layer,
-so everything here expects already-windowed frames where it matters.
+Pure functions on 1-D numpy arrays; `apply_window`, `power_spectrum` and
+`mfcc` also take an (n, length) block of frames, one frame per row, and
+give each row the bits of a call on that frame alone. Window and
+filterbank tables are precomputed, immutable and shared. Windowing happens
+in the feature layer, so everything here expects already-windowed frames
+where it matters.
 """
 
 from .windows import WindowKind, WindowFunction, make_window, apply_window

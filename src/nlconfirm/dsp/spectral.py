@@ -29,12 +29,13 @@ def next_pow2(n: int) -> int:
 def power_spectrum(windowed: np.ndarray) -> np.ndarray:
     """Magnitude-squared spectrum, N/2+1 bins, zero-padded to a power of two.
 
-    Bin k sits at frequency k * fs / n_fft.
+    Transforms along the last axis, so an (n, length) block gives one
+    spectrum per row. Bin k sits at frequency k * fs / n_fft.
     """
     x = np.asarray(windowed, dtype=np.float64)
-    if x.size == 0:
+    if x.ndim == 0 or x.shape[-1] == 0:
         raise ValueError("empty input")
-    n_fft = next_pow2(x.size)
+    n_fft = next_pow2(x.shape[-1])
     spec = np.fft.rfft(x, n_fft)
     return (spec.real * spec.real + spec.imag * spec.imag)
 
@@ -83,23 +84,36 @@ def _dct2_ortho_matrix(n_out: int, n_in: int) -> np.ndarray:
     return mat
 
 
+def _rows_times(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """x @ matrix with each row of x taken as its own (1, k) matrix product.
+
+    A batched matmul keeps every row on the single-vector BLAS path, so a
+    block gives the bits of one row at a time; a plain 2-D product runs
+    as one gemm and can differ in the last bits.
+    """
+    if x.ndim == 1:
+        return x @ matrix
+    return np.matmul(x[..., None, :], matrix)[..., 0, :]
+
+
 def mel_log_energies(power: np.ndarray, sample_rate: int) -> np.ndarray:
-    """Floored log of the 40 mel-band energies of a power spectrum."""
-    power = np.atleast_2d(power)
+    """Floored log of the 40 mel-band energies of a power spectrum (or of each row)."""
+    power = np.asarray(power, dtype=np.float64)
     n_fft = 2 * (power.shape[-1] - 1)
     bank = mel_filterbank(n_fft, sample_rate)
-    energies = power @ bank.T
-    out = np.log(np.maximum(energies, LOG_FLOOR))
-    return out[0] if out.shape[0] == 1 else out
+    return np.log(np.maximum(_rows_times(power, bank.T), LOG_FLOOR))
 
 
 def mfcc_from_log_energies(log_energies: np.ndarray, n_mfcc: int = N_MFCC) -> np.ndarray:
-    """Orthonormal DCT-II of log mel energies, truncated to n_mfcc."""
+    """Orthonormal DCT-II of log mel energies (or of each row), truncated to n_mfcc."""
     log_energies = np.asarray(log_energies, dtype=np.float64)
     mat = _dct2_ortho_matrix(n_mfcc, log_energies.shape[-1])
-    return log_energies @ mat.T
+    return _rows_times(log_energies, mat.T)
 
 
 def mfcc(windowed: np.ndarray, sample_rate: int = 16_000) -> np.ndarray:
-    """First 13 MFCCs of one Blackman-Harris-windowed frame."""
+    """First 13 MFCCs of a Blackman-Harris-windowed frame, or of each row of an (n, 400) block.
+
+    A block gives bitwise the rows of calling mfcc frame by frame.
+    """
     return mfcc_from_log_energies(mel_log_energies(power_spectrum(windowed), sample_rate))

@@ -56,8 +56,9 @@ def make_window(kind: WindowKind, length: int) -> WindowFunction:
 
 
 def apply_window(frame: np.ndarray, window: WindowFunction) -> np.ndarray:
-    """Pointwise product of a frame with window coefficients."""
+    """Pointwise product of a frame, or of each row of an (n, length) block, with the window."""
     frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape != (window.length,):
-        raise LengthMismatch(f"frame length {frame.shape} != window length {window.length}")
+    if frame.ndim == 0 or frame.shape[-1] != window.length:
+        raise LengthMismatch(f"frame shape {frame.shape} does not end in window length "
+                             f"{window.length}")
     return frame * window.coefficients

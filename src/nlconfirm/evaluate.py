@@ -10,9 +10,10 @@ import numpy as np
 
 from .corpus import AudioSegment, Label, frame_stream
 from .errors import LengthMismatch, MissingClass
-from .featset import FeatureSetConfig, extract, feature_matrix, required_context
+from .featset import FeatureSetConfig, extract_matrix, required_context
 from .learn.cv_core import FoldResult, SpeakerFrames, weighted_accuracy
 from .pipeline import SegmentDecision
+from .stats import Stats
 
 __all__ = [
     "ConfusionCounts", "RocCurve", "CvReport", "EvalReport", "SpeakerFrames",
@@ -97,12 +98,13 @@ def label_sign(label: Label) -> int:
 
 
 def speaker_frames(
-    segments: list[AudioSegment], config: FeatureSetConfig
+    segments: list[AudioSegment], config: FeatureSetConfig, stats: Stats | None = None
 ) -> list[SpeakerFrames]:
     """Extract per-speaker frame features; fold weight = confirmation segment count.
 
-    Speakers without a confirmation segment are excluded, as are segments
-    shorter than the feature set's context.
+    Each segment goes through extraction as one block. Speakers without a
+    confirmation segment are excluded, as are segments shorter than the
+    feature set's context. `stats`, if given, counts frames and vectors.
     """
     min_frames = required_context(config)
     by_speaker: dict[str, list[AudioSegment]] = {}
@@ -119,9 +121,12 @@ def speaker_frames(
             frames = frame_stream(seg)
             if len(frames) < min_frames:
                 continue
-            vectors = extract(frames, config)
-            blocks.append(feature_matrix(vectors))
-            labels.append(np.full(len(vectors), label_sign(seg.label)))
+            _, rows = extract_matrix(frames, config)
+            blocks.append(rows)
+            labels.append(np.full(len(rows), label_sign(seg.label)))
+            if stats is not None:
+                stats.count("frames", len(frames))
+                stats.count("vectors", len(rows))
             if seg.label is Label.CONFIRMATION:
                 confirmations += 1
         if not blocks:

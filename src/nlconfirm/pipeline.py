@@ -4,13 +4,16 @@ Both modes share one code path: frames flow through a StreamingExtractor,
 each finished feature vector is scored by the model, the score's sign
 becomes a +1/-1 vote, and a segment latches as a confirmation the first
 time the mean of the last five votes exceeds the majority threshold.
-Offline classification simply drives the stream over a whole segment and
-keeps the per-frame scores, so the two modes agree bit for bit.
+Offline classification hands each segment to the extractor as one block
+of frames and keeps the per-frame scores; the online mode (`listen`)
+pushes frame by frame. Any partition of a segment into blocks gives the
+same vectors, so the two modes agree bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +22,7 @@ from .corpus import FRAME_MS, HOP_MS, AudioSegment, Frame, Label, frame_stream
 from .errors import SegmentTooShort
 from .featset import StreamingExtractor, required_context
 from .learn import ModelBundle
+from .stats import Stats
 
 VOTE_WINDOW = 5
 
@@ -107,14 +111,15 @@ class OnlineClassifier:
         self._indices = []
         self._scores = []
 
-    def _score_vectors(self, vectors) -> TriggerEvent | None:
+    def _score_vectors(self, indexed_rows) -> TriggerEvent | None:
+        """Score and vote (frame index, feature vector) pairs in frame order."""
         trigger = None
-        for vec in vectors:
-            score = self.bundle.decide(vec.values)
-            self._indices.append(vec.frame_index)
+        for frame_index, values in indexed_rows:
+            score = self.bundle.decide(values)
+            self._indices.append(frame_index)
             self._scores.append(score)
             vote = 1 if score > 0.0 else -1
-            event = self.state.push_vote(vote, vec.frame_index, self._segment_ref or "")
+            event = self.state.push_vote(vote, frame_index, self._segment_ref or "")
             trigger = trigger or event
         return trigger
 
@@ -125,11 +130,20 @@ class OnlineClassifier:
         """
         if self._segment_ref is None:
             self._segment_ref = frame.segment_ref
-        return self._score_vectors(self._extractor.push(frame))
+        return self._score_vectors((v.frame_index, v.values) for v in self._extractor.push(frame))
+
+    def push_frames(self, frames: Sequence[Frame]) -> TriggerEvent | None:
+        """Consume a block of frames: the same scores and votes as pushing them one by one.
+
+        Returns the first trigger event the block latches, if any.
+        """
+        if self._segment_ref is None and frames:
+            self._segment_ref = frames[0].segment_ref
+        return self._score_vectors(zip(*self._extractor.push_block(frames)))
 
     def finish_segment(self) -> TriggerEvent | None:
         """Flush look-ahead features at segment end (may still latch)."""
-        return self._score_vectors(self._extractor.finish())
+        return self._score_vectors((v.frame_index, v.values) for v in self._extractor.finish())
 
     def decision(self) -> SegmentDecision:
         """Decision for the segment streamed so far (call after finish_segment)."""
@@ -141,32 +155,41 @@ class OnlineClassifier:
         )
 
 
-def _classify_frames(
-    frames: list[Frame], bundle: ModelBundle, majority_threshold: float
+def classify_segment(
+    segment: AudioSegment, bundle: ModelBundle, majority_threshold: float = 0.0
 ) -> SegmentDecision:
+    """Stream one segment frame by frame through the classifier (the online mode)."""
     classifier = OnlineClassifier(bundle, majority_threshold)
-    for frame in frames:
+    for frame in frame_stream(segment):
         classifier.push_frame(frame)
     classifier.finish_segment()
     return classifier.decision()
 
 
-def classify_segment(
-    segment: AudioSegment, bundle: ModelBundle, majority_threshold: float = 0.0
+def classify_block(
+    frames: list[Frame], bundle: ModelBundle, majority_threshold: float = 0.0
 ) -> SegmentDecision:
-    """Stream one segment through the classifier and return its decision."""
-    return _classify_frames(frame_stream(segment), bundle, majority_threshold)
+    """Classify one segment's frames handed over whole, as one block.
+
+    Gives the decision and frame scores of streaming the same frames,
+    bit for bit; frames fewer than the feature context cast no vote.
+    """
+    classifier = OnlineClassifier(bundle, majority_threshold)
+    classifier.push_frames(frames)
+    classifier.finish_segment()
+    return classifier.decision()
 
 
 def classify_offline(
     segments: list[AudioSegment],
     bundle: ModelBundle,
     majority_threshold: float = 0.0,
+    stats: Stats | None = None,
 ) -> list[SegmentDecision]:
-    """Per-frame scores and vote-latched decisions for annotated segments.
+    """Per-frame scores and vote-latched decisions for annotated segments, one block each.
 
     Segments shorter than the feature set's required context propagate
-    SegmentTooShort.
+    SegmentTooShort. `stats`, if given, counts frames and vectors.
     """
     min_frames = required_context(bundle.feature_config)
     decisions = []
@@ -176,7 +199,10 @@ def classify_offline(
             raise SegmentTooShort(
                 f"{segment.segment_id}: {len(frames)} frames < context {min_frames}"
             )
-        decisions.append(_classify_frames(frames, bundle, majority_threshold))
+        decisions.append(classify_block(frames, bundle, majority_threshold))
+        if stats is not None:
+            stats.count("frames", len(frames))
+            stats.count("vectors", decisions[-1].frame_scores.size)
     return decisions
 
 

@@ -97,6 +97,28 @@ def test_evaluate_writes_reports(corpus_dir, tmp_path):
     assert roc_rows[-1] == "1,1"
 
 
+def test_run_metadata_records_stages_and_counters(corpus_dir, model_dir, tmp_path):
+    manifest = corpus_dir / "manifest.csv"
+    frames = sum((len(s.samples) - 400) // 160 + 1 for s in load_segments(manifest))
+    commands = {
+        "extract": (("--features", "stacked_mfcc"), {"load", "extract"}),
+        "train": (("--features", "mfcc", *FAST_SVM), {"load", "extract", "fit"}),
+        "classify": (("--model", model_dir / "model.nlcm"), {"load", "classify"}),
+        "evaluate": (("--features", "mfcc", "--test-manifest", manifest, *FAST_SVM),
+                     {"load", "extract", "search", "fit", "classify"}),
+    }
+    for command, (flags, stages) in commands.items():
+        out = tmp_path / command
+        assert run(command, "--manifest", manifest, *flags, "--out", out) == 0
+        meta = json.loads((out / "run_metadata.json").read_text())
+        assert set(meta["stages"]) == stages, command
+        assert all(seconds >= 0.0 for seconds in meta["stages"].values())
+        assert sum(meta["stages"].values()) <= meta["duration_s"] + 1e-3
+        # evaluate extracts the same manifest twice: training frames, then test frames
+        assert meta["counters"]["frames"] == frames * (2 if command == "evaluate" else 1)
+        assert 0 < meta["counters"]["vectors"] <= meta["counters"]["frames"]
+
+
 def test_evaluate_scores_equal_streamed_scores(corpus_dir, tmp_path, monkeypatch):
     # evaluate scores its test frames as classify and listen do, bit for bit;
     # pitch has many identical inputs (unvoiced frames), which batch scoring

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlconfirm.corpus import FRAME_LEN, HOP_LEN, SAMPLE_RATE, Frame, frame_stream
 from nlconfirm.dsp import (
@@ -33,6 +35,7 @@ from nlconfirm.featset import (
     dimension,
     emitted_count,
     extract,
+    extract_matrix,
     feature_matrix,
     required_context,
     window_kind_for,
@@ -339,3 +342,81 @@ class TestBoundedState:
         extractor.reset()
         assert extractor.frames_consumed == 0
         assert long <= 1.5 * short, f"peak {long:.1f} KiB at 120 s vs {short:.1f} KiB at 5 s"
+
+
+def _cut(frames: list[Frame], sizes: list[int]) -> list[list[Frame]]:
+    """Consecutive blocks of the given sizes, the last one taking what is left."""
+    blocks, start = [], 0
+    for size in sizes:
+        if start >= len(frames):
+            break
+        blocks.append(frames[start:start + size])
+        start += size
+    if start < len(frames):
+        blocks.append(frames[start:])
+    return blocks
+
+
+def _push_blocks(extractor: StreamingExtractor, blocks) -> tuple[list[int], list[np.ndarray]]:
+    indices, rows = [], []
+    for block in blocks:
+        got, matrix = extractor.push_block(block)
+        assert matrix.shape == (len(got), extractor.config.raw_dimension)
+        indices += got
+        rows += list(matrix)
+    got, matrix = extractor.finish_block()
+    return indices + list(got), rows + list(matrix)
+
+
+class TestBlockPartition:
+    """Any partition of a segment into blocks gives the vectors of `extract`, bit for bit."""
+
+    @pytest.mark.parametrize("kind", list(FeatureKind))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_every_partition_equals_extract(self, kind, data):
+        config = FeatureSetConfig(kind)
+        n = data.draw(st.integers(1, 36), label="frames")
+        sizes = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=n), label="blocks")
+        frames = voiced_frames(n, seed=n)
+        if n >= required_context(kind):
+            expected = [(v.frame_index, v.values) for v in extract(frames, config)]
+        else:  # too short for extract: the online mode still streams what it can
+            streamed = StreamingExtractor(config)
+            expected = [(v.frame_index, v.values)
+                        for v in [u for f in frames for u in streamed.push(f)] + streamed.finish()]
+        extractor = StreamingExtractor(config)
+        for reused in (False, True):
+            if reused:  # a half-pushed segment, then reset: the context must not leak
+                extractor.push_block(voiced_frames(STACK_DEPTH + 3, seed=7)[: n % 19])
+                extractor.reset()
+            indices, rows = _push_blocks(extractor, _cut(frames, sizes))
+            assert indices == [t for t, _ in expected]
+            assert all(type(t) is int for t in indices)
+            for row, (_, values) in zip(rows, expected, strict=True):
+                assert np.array_equal(row, values)
+
+    @pytest.mark.parametrize("kind", list(FeatureKind))
+    def test_push_is_a_block_of_one(self, kind):
+        config = FeatureSetConfig(kind)
+        by_push, by_block = StreamingExtractor(config), StreamingExtractor(config)
+        for frame in voiced_frames(2 * STACK_DEPTH + 5, seed=41):  # past the history wrap
+            pushed = by_push.push(frame)
+            indices, rows = by_block.push_block([frame])
+            assert [v.frame_index for v in pushed] == list(indices)
+            for vector, row in zip(pushed, rows, strict=True):
+                assert np.array_equal(vector.values, row)
+        assert [v.frame_index for v in by_push.finish()] == list(by_block.finish_block()[0])
+
+    def test_extract_matrix_matches_extract(self):
+        frames = voiced_frames(30, seed=5)
+        config = FeatureSetConfig(FeatureKind.MFCC_DELTA)
+        indices, rows = extract_matrix(frames, config)
+        assert list(indices) == list(range(30))
+        assert np.array_equal(rows, feature_matrix(extract(frames, config)))
+
+    def test_empty_block_emits_nothing(self):
+        extractor = StreamingExtractor(FeatureSetConfig(FeatureKind.STACKED_MFCC))
+        indices, rows = extractor.push_block([])
+        assert len(indices) == 0 and rows.shape == (0, 195)
+        assert extractor.frames_consumed == 0

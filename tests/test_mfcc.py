@@ -15,6 +15,7 @@ from nlconfirm.dsp import (
     apply_window,
     make_window,
     mel_filterbank,
+    mel_log_energies,
     mfcc,
     mfcc_from_log_energies,
 )
@@ -121,3 +122,26 @@ def test_amplitude_shift_only_moves_c0(frame, scale):
     scaled = mfcc(frame * scale)
     assert np.max(np.abs(scaled[1:] - base[1:])) < 1e-6
 
+
+class TestBlocks:
+    """mfcc on an (n, 400) block: leading axes kept, rows bitwise equal to one frame at a time."""
+
+    def test_one_row_block_keeps_its_axis(self):
+        assert mfcc(np.ones((1, 400))).shape == (1, 13)
+        assert mel_log_energies(np.ones((1, 257)), FS).shape == (1, N_MEL_BANDS)
+
+    def test_block_rows_equal_per_frame_mfcc(self):
+        rng = np.random.default_rng(13)
+        window = make_window(WindowKind.BLACKMAN_HARRIS4, 400)
+        block = apply_window(rng.uniform(-0.8, 0.8, (64, 400)) * rng.uniform(0, 2, (64, 1)),
+                             window)
+        block[5] = 0.0  # a silent frame sits on the log floor
+        rows = mfcc(block)
+        assert rows.shape == (64, 13)
+        for row, frame in zip(rows, block):
+            assert np.array_equal(row, mfcc(frame))
+
+    def test_block_uses_the_frame_length_fft(self):
+        # the FFT size follows the last axis, not the block's total size
+        block = np.ones((3, 400))
+        assert np.array_equal(mfcc(block), np.tile(mfcc(np.ones(400)), (3, 1)))

@@ -43,6 +43,20 @@ class TestWindows:
         with pytest.raises(LengthMismatch):
             apply_window(np.ones(401), w)
 
+    def test_block_windowed_row_by_row(self):
+        w = make_window(WindowKind.HANN, 400)
+        block = np.random.default_rng(2).uniform(-1, 1, (5, 400))
+        out = apply_window(block, w)
+        assert out.shape == (5, 400)
+        for row, frame in zip(out, block):
+            assert np.array_equal(row, apply_window(frame, w))
+
+    @pytest.mark.parametrize("shape", [(3, 401), (400, 3), (), (2, 3, 399)])
+    def test_wrong_last_axis_rejected(self, shape):
+        w = make_window(WindowKind.HANN, 400)
+        with pytest.raises(LengthMismatch):
+            apply_window(np.ones(shape), w)
+
     def test_windows_cached(self):
         assert make_window(WindowKind.HANN, 400) is make_window(WindowKind.HANN, 400)
 
@@ -74,6 +88,12 @@ class TestPowerSpectrum:
             lhs = np.sum(x * x)
             rhs = (spec[0] + spec[-1] + 2 * np.sum(spec[1:-1])) / n_fft
             assert rhs == pytest.approx(lhs, rel=1e-6)
+
+    def test_block_keeps_leading_axes(self):
+        block = np.random.default_rng(4).standard_normal((2, 3, 400))
+        spec = power_spectrum(block)
+        assert spec.shape == (2, 3, 257)
+        assert np.array_equal(spec[1, 2], power_spectrum(block[1, 2]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
