@@ -45,23 +45,16 @@ from .evaluate import (
 from .featset import FeatureKind, FeatureSetConfig, extract_matrix
 from .learn import (
     DEFAULT_SVM_PARAMS,
+    GridSearchResult,
     SvmHyperParams,
     grid_search,
     load_model,
     save_model,
     save_model_json,
 )
-from .learn.cv_core import fit_bundle, run_louo_folds
-from .pipeline import (
-    classify_block,
-    classify_offline,
-    classify_segment,
-    segment_score,
-    trigger_time_ms,
-)
+from .learn.cv_core import SpeakerFrames, fit_bundle, run_louo_folds
+from .pipeline import classify_offline, classify_segment, segment_score, trigger_time_ms
 from .stats import Stats
-
-PCA_EPSILON = 0.95
 
 
 @dataclass
@@ -124,6 +117,26 @@ def _explicit_params(args: argparse.Namespace) -> SvmHyperParams | None:
         raise ConfigError(str(exc)) from exc
 
 
+def _choose_params(
+    speakers: list[SpeakerFrames],
+    config: FeatureSetConfig,
+    args: argparse.Namespace,
+    stats: Stats,
+) -> tuple[SvmHyperParams, GridSearchResult | None]:
+    """The explicit --svm-* values, else the grid winner under --grid-search, else the default.
+
+    Returns the search result too when the grid was searched.
+    """
+    params = _explicit_params(args)
+    if params is not None:
+        return params, None
+    if args.grid_search:
+        with stats.stage("search"):
+            result = grid_search(speakers, config, seed=args.seed)
+        return result.best, result
+    return DEFAULT_SVM_PARAMS[config.kind], None
+
+
 # --- commands -----------------------------------------------------------------
 
 
@@ -161,9 +174,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
         stats.count("vectors", len(indices))
         name = f"{seg.segment_id}.csv"
         with (feature_dir / name).open("w") as fh:
-            fh.write(",".join(f"f{i}" for i in range(matrix.shape[1])) + "\n")
-            for row in matrix:
-                fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+            np.savetxt(fh, matrix, fmt="%.12g", delimiter=",", comments="",
+                       header=",".join(f"f{i}" for i in range(matrix.shape[1])))
         index.append({
             "segment_id": seg.segment_id,
             "file": f"features/{name}",
@@ -188,18 +200,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         segments = load_segments(args.manifest)
     with stats.stage("extract"):
         speakers = speaker_frames(segments, config, stats)
-    params = _explicit_params(args)
-    searched = None
-    if params is None and args.grid_search:
-        with stats.stage("search"):
-            result = grid_search(speakers, config, pca_epsilon=args.pca_epsilon, seed=args.seed)
-        params = result.best
-        searched = result
-    if params is None:
-        params = DEFAULT_SVM_PARAMS[kind]
+    params, searched = _choose_params(speakers, config, args, stats)
     with stats.stage("fit"):
-        bundle = fit_bundle(speakers, config, params, seed=args.seed,
-                            pca_epsilon=args.pca_epsilon)
+        bundle = fit_bundle(speakers, config, params, seed=args.seed)
     model_path = ctx.out_dir / args.model_name
     save_model(bundle, model_path)
     save_model_json(bundle, model_path.with_suffix(model_path.suffix + ".json"))
@@ -223,7 +226,7 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
     with stats.stage("extract"):
         speakers = speaker_frames(segments, config, stats)
     with stats.stage("search"):
-        result = grid_search(speakers, config, pca_epsilon=args.pca_epsilon, seed=args.seed)
+        result = grid_search(speakers, config, seed=args.seed)
     rows = []
     print(f"{'C':>6} {'eps':>7} {'gamma':>7} {'weighted CV accuracy':>22}")
     for point in result.points:
@@ -247,22 +250,17 @@ def _evaluate_kind(
     stats: Stats,
 ) -> EvalReport:
     config = FeatureSetConfig(kind)
-    params = _explicit_params(args)
     with stats.stage("extract"):
         speakers = speaker_frames(train_segments, config, stats)
-    with stats.stage("search"):  # cross-validation: over the grid, or at fixed parameters
-        if args.grid_search and params is None:
-            result = grid_search(speakers, config, pca_epsilon=args.pca_epsilon,
-                                 seed=args.seed)
-            params, folds = result.best, result.best_point.folds
-        else:
-            params = params or DEFAULT_SVM_PARAMS[kind]
-            folds = run_louo_folds(speakers, config, params, pca_epsilon=args.pca_epsilon,
-                                   seed=args.seed)
+    params, searched = _choose_params(speakers, config, args, stats)
+    if searched is not None:
+        folds = searched.best_point.folds
+    else:
+        with stats.stage("search"):  # cross-validation at the chosen point
+            folds = run_louo_folds(speakers, config, [params], seed=args.seed)[0]
     cv = CvReport(folds=folds)
     with stats.stage("fit"):
-        bundle = fit_bundle(speakers, config, params, seed=args.seed,
-                            pca_epsilon=args.pca_epsilon)
+        bundle = fit_bundle(speakers, config, params, seed=args.seed)
 
     with stats.stage("classify"):
         decisions = classify_offline(test_segments, bundle, args.majority_threshold, stats)
@@ -327,21 +325,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
     with stats.stage("load"):
         bundle = load_model(args.model)
         segments = load_segments(args.manifest)
+    with stats.stage("classify"):
+        decisions = classify_offline(segments, bundle, args.majority_threshold, stats)
     frame_dir = ctx.out_dir / "frames"
     frame_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for segment in segments:
-        with stats.stage("classify"):
-            frames = frame_stream(segment)
-            decision = classify_block(frames, bundle, args.majority_threshold)
-        stats.count("frames", len(frames))
-        stats.count("vectors", decision.frame_scores.size)
+    rows = list(zip(segments, decisions))
+    for segment, decision in rows:
         with (frame_dir / f"{segment.segment_id}.csv").open("w") as fh:
             fh.write("frame_index,decision_value,prediction\n")
             for idx, score in zip(decision.frame_indices, decision.frame_scores):
                 label = Label.CONFIRMATION if score > 0 else Label.OTHER
                 fh.write(f"{idx},{score:.12g},{label.value}\n")
-        rows.append((segment, decision))
     with (ctx.out_dir / "segment_decisions.csv").open("w") as fh:
         fh.write("segment_id,decided_label,trigger_frame,true_label\n")
         for segment, decision in rows:
@@ -449,7 +443,6 @@ def _apply_config_file(args: argparse.Namespace) -> None:
 # or run to no effect: dest -> (accepts, expected range)
 _RANGES = {
     "train_fraction": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "pca_epsilon": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     # a segment latches when the mean of 5 votes of +-1 exceeds the threshold
     "majority_threshold": (lambda v: -1.0 <= v < 1.0, "in [-1, 1)"),
     "vad_threshold": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
@@ -462,6 +455,8 @@ def _check_ranges(args: argparse.Namespace) -> None:
         value = getattr(args, dest, None)
         if value is not None and not accepts(value):
             raise ConfigError(f"--{dest.replace('_', '-')} must be {expected}, got {value}")
+    if hasattr(args, "svm_c"):
+        _explicit_params(args)  # incomplete or invalid --svm-* values fail before extraction
 
 
 def _add_common(parser: argparse.ArgumentParser, *, manifest: bool = True) -> None:
@@ -476,8 +471,6 @@ def _add_svm_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--svm-c", type=float, default=None, help="SVM C (with --svm-eps/--svm-gamma)")
     parser.add_argument("--svm-eps", type=float, default=None, help="SMO stopping tolerance")
     parser.add_argument("--svm-gamma", type=float, default=None, help="RBF width")
-    parser.add_argument("--pca-epsilon", type=float, default=PCA_EPSILON,
-                        help="retained-variance ratio for PCA feature sets")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -509,7 +502,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid-search", help="score the SVM parameter grid by cross-validation")
     _add_common(p)
     p.add_argument("--features", required=True)
-    _add_svm_flags(p)
 
     p = sub.add_parser("evaluate", help="cross-validate, train and score on a test split")
     _add_common(p)

@@ -45,8 +45,10 @@ SECOND_DERIVATIVE = SavitzkyGolayFilter(np.array([5.0, 0.0, -3.0, -4.0, -3.0, 0.
 def sg_at(series: np.ndarray, t: int, filt: SavitzkyGolayFilter) -> float | np.ndarray:
     """Filter response at index t with edge replication (clamped indexing).
 
-    Works on a 1-D series or a (time, dim) matrix; the same arithmetic is
-    used by the batch and the streaming paths so results match bit-for-bit.
+    Works on a 1-D series or a (time, dim) matrix. This is the reference
+    arithmetic: `savitzky_golay` applies it index by index, and tests
+    compare the feature extractor's batched (matmul) derivative rows
+    against that.
     """
     idx = np.clip(np.arange(t - filt.half, t + filt.half + 1), 0, len(series) - 1)
     return (filt.coefficients @ series[idx]) / filt.h

@@ -12,6 +12,7 @@ from .corpus import AudioSegment, Label, frame_stream
 from .errors import LengthMismatch, MissingClass
 from .featset import FeatureSetConfig, extract_matrix, required_context
 from .learn.cv_core import FoldResult, SpeakerFrames, weighted_accuracy
+from .learn.svm import SvmHyperParams
 from .pipeline import SegmentDecision
 from .stats import Stats
 

@@ -328,11 +328,13 @@ def extract_matrix(frames: Sequence[Frame], config: FeatureSetConfig) -> tuple[r
 
     Context-bearing kinds emit N - 14 vectors for N frames; the derivative
     set and the plain kinds emit N. Raises SegmentTooShort when the stream
-    is shorter than the kind's required context.
+    is shorter than the kind's required context; its message names the
+    segment.
     """
     if len(frames) < required_context(config):
+        ref = frames[0].segment_ref if frames else "(no frames)"
         raise SegmentTooShort(
-            f"{len(frames)} frames < required context {required_context(config)} "
+            f"{ref}: {len(frames)} frames < required context {required_context(config)} "
             f"for {config.kind.value}"
         )
     extractor = StreamingExtractor(config)

@@ -1,11 +1,12 @@
 """The fit path and the leave-one-speaker-out fold engine.
 
 `fit_chain` is the parameter-free part of training: the frames are
-class-balanced, and normalization (and PCA, when the feature set calls
-for it) is fitted on the balanced set. `fit_bundle` is that chain plus
-`train_svm`, the one way a model is trained for `train` and `evaluate`.
-Callers hand in per-speaker matrices, labels and fold weights, so the
-module needs no corpus or audio code.
+class-balanced, and normalization (and PCA keeping PCA_EPSILON of the
+variance, when the feature set calls for it) is fitted on the balanced
+set. `fit_bundle` is that chain plus `train_svm`, the one way a model is
+trained for `train` and `evaluate`. Callers hand in per-speaker
+matrices, labels and fold weights, so the module needs no corpus or
+audio code.
 
 `run_louo_folds` scores a whole grid of SVM parameters in one pass over
 the folds. Each fold fits on every other speaker and scores the held-out
@@ -19,6 +20,7 @@ models of every eps (`smo_path`). Every model is bit for bit the one
 from __future__ import annotations
 
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,8 @@ from .model_io import ModelBundle
 from .normalize import NormalizerStats, fit_normalizer
 from .pca import PcaTransform, fit_pca
 from .svm import SvmHyperParams, SvmModel, smo_path, squared_distances, support_model, train_svm
+
+PCA_EPSILON = 0.95  # retained-variance ratio of every PCA feature set
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,6 @@ def fit_chain(
     config: FeatureSetConfig,
     *,
     seed: int,
-    pca_epsilon: float,
 ) -> FitChain:
     """Balance -> normalize -> PCA (for PCA feature sets) on the speakers' frames.
 
@@ -112,7 +115,7 @@ def fit_chain(
     projected = normalizer.transform(bal_x)
     pca = None
     if config.uses_pca:
-        pca = fit_pca(projected, pca_epsilon)
+        pca = fit_pca(projected, PCA_EPSILON)
         projected = pca.transform(projected)
     return FitChain(normalizer=normalizer, pca=pca, vectors=projected, labels=y[keep])
 
@@ -123,13 +126,12 @@ def fit_bundle(
     params: SvmHyperParams,
     *,
     seed: int,
-    pca_epsilon: float,
 ) -> ModelBundle:
     """`fit_chain` then `train_svm` on the speakers' frames.
 
     Raises DataError when no speaker is given.
     """
-    chain = fit_chain(speakers, config, seed=seed, pca_epsilon=pca_epsilon)
+    chain = fit_chain(speakers, config, seed=seed)
     return ModelBundle(
         feature_config=config,
         hyperparams=params,
@@ -145,7 +147,7 @@ def _fold_seed(seed: int, speaker_id: str) -> int:
 
 
 def _grid_bundles(
-    chain: FitChain, config: FeatureSetConfig, grid: list[SvmHyperParams]
+    chain: FitChain, config: FeatureSetConfig, grid: Sequence[SvmHyperParams]
 ) -> list[ModelBundle]:
     """One model per grid point from one distance matrix and one SMO run per (C, gamma)."""
     x = np.asarray(chain.vectors, dtype=np.float64)  # as train_svm takes them
@@ -170,29 +172,24 @@ def _grid_bundles(
 def run_louo_folds(
     speakers: list[SpeakerFrames],
     config: FeatureSetConfig,
-    grid: SvmHyperParams | list[SvmHyperParams] | tuple[SvmHyperParams, ...],
+    points: Sequence[SvmHyperParams],
     *,
-    pca_epsilon: float = 0.95,
     seed: int = 0,
-) -> list[FoldResult] | list[list[FoldResult]]:
-    """One fold per speaker: fit every grid point on the rest, score the speaker unbalanced.
+) -> list[list[FoldResult]]:
+    """One fold per speaker: fit every point on the rest, score the speaker unbalanced.
 
-    `grid` is one SvmHyperParams (returns its folds) or a sequence of them
-    (returns each point's folds, in grid order). A fold runs `fit_chain`
-    once and builds all its models before the distance matrix and kernel
-    are dropped and the held-out speaker is scored. Fold accuracy counts
-    signs only, so the held-out frames are scored in one batch
-    (`decide_many`).
+    Returns each point's folds, in the order of `points`. A fold runs
+    `fit_chain` once and builds all its models before the distance matrix
+    and kernel are dropped and the held-out speaker is scored. Fold
+    accuracy counts signs only, so the held-out frames are scored in one
+    batch (`decide_many`).
     """
     if len(speakers) < 2:
         raise MissingClass("leave-one-user-out needs at least two speakers")
-    single = isinstance(grid, SvmHyperParams)
-    points = [grid] if single else list(grid)
     results: list[list[FoldResult]] = [[] for _ in points]
     for held_out in speakers:
         rest = [s for s in speakers if s.speaker_id != held_out.speaker_id]
-        chain = fit_chain(rest, config, seed=_fold_seed(seed, held_out.speaker_id),
-                          pca_epsilon=pca_epsilon)
+        chain = fit_chain(rest, config, seed=_fold_seed(seed, held_out.speaker_id))
         bundles = _grid_bundles(chain, config, points)
         for folds, bundle in zip(results, bundles):
             predicted = np.where(bundle.decide_many(held_out.vectors) > 0.0, 1.0, -1.0)
@@ -202,7 +199,7 @@ def run_louo_folds(
                 weight=held_out.weight,
                 n_test=held_out.labels.size,
             ))
-    return results[0] if single else results
+    return results
 
 
 def weighted_accuracy(folds: list[FoldResult]) -> float:

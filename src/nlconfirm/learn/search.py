@@ -56,21 +56,18 @@ class GridSearchResult:
 def grid_search(
     speakers: list[SpeakerFrames],
     config: FeatureSetConfig,
-    grid: tuple[SvmHyperParams, ...] = DEFAULT_GRID,
     *,
-    pca_epsilon: float = 0.95,
     seed: int = 0,
 ) -> GridSearchResult:
-    """Score every grid point by leave-one-user-out weighted accuracy.
+    """Score every DEFAULT_GRID point by leave-one-user-out weighted accuracy.
 
     Ties go to the lexicographically smaller (C, eps, gamma) triple; the
-    grid is evaluated in that order, so the first strict maximum wins.
+    grid is built in that order, so the first strict maximum wins.
     """
-    ordered = sorted(grid, key=lambda p: (p.C, p.eps, p.gamma))
-    per_point = run_louo_folds(speakers, config, ordered, pca_epsilon=pca_epsilon, seed=seed)
+    per_point = run_louo_folds(speakers, config, DEFAULT_GRID, seed=seed)
     points: list[GridPoint] = []
     best: GridPoint | None = None
-    for params, folds in zip(ordered, per_point):
+    for params, folds in zip(DEFAULT_GRID, per_point):
         point = GridPoint(params=params, weighted_accuracy=weighted_accuracy(folds), folds=folds)
         points.append(point)
         if best is None or point.weighted_accuracy > best.weighted_accuracy:

@@ -1,26 +1,26 @@
 """Offline and streaming classification.
 
-Both modes share one code path: frames flow through a StreamingExtractor,
-each finished feature vector is scored by the model, the score's sign
-becomes a +1/-1 vote, and a segment latches as a confirmation the first
-time the mean of the last five votes exceeds the majority threshold.
-Offline classification hands each segment to the extractor as one block
-of frames and keeps the per-frame scores; the online mode (`listen`)
-pushes frame by frame. Any partition of a segment into blocks gives the
-same vectors, so the two modes agree bit for bit.
+Every frame score is one `ModelBundle.decide` call on one feature vector,
+the score's sign becomes a +1/-1 vote, and a segment latches as a
+confirmation the first time the mean of the last five votes exceeds the
+majority threshold. Offline classification (`classify_offline`, used by
+`classify` and `evaluate`) extracts each segment's rows in one block
+(`extract_matrix`), scores them one by one and replays the vote rule over
+the scores (`decision_from_scores`). The online mode (`listen`) streams
+frame by frame through `OnlineClassifier`, voting as each vector
+completes. Extraction gives the same vectors however a segment is split
+into blocks, so the two modes agree bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import FRAME_MS, HOP_MS, AudioSegment, Frame, Label, frame_stream
-from .errors import SegmentTooShort
-from .featset import StreamingExtractor, required_context
+from .featset import StreamingExtractor, extract_matrix
 from .learn import ModelBundle
 from .stats import Stats
 
@@ -132,15 +132,6 @@ class OnlineClassifier:
             self._segment_ref = frame.segment_ref
         return self._score_vectors((v.frame_index, v.values) for v in self._extractor.push(frame))
 
-    def push_frames(self, frames: Sequence[Frame]) -> TriggerEvent | None:
-        """Consume a block of frames: the same scores and votes as pushing them one by one.
-
-        Returns the first trigger event the block latches, if any.
-        """
-        if self._segment_ref is None and frames:
-            self._segment_ref = frames[0].segment_ref
-        return self._score_vectors(zip(*self._extractor.push_block(frames)))
-
     def finish_segment(self) -> TriggerEvent | None:
         """Flush look-ahead features at segment end (may still latch)."""
         return self._score_vectors((v.frame_index, v.values) for v in self._extractor.finish())
@@ -166,43 +157,30 @@ def classify_segment(
     return classifier.decision()
 
 
-def classify_block(
-    frames: list[Frame], bundle: ModelBundle, majority_threshold: float = 0.0
-) -> SegmentDecision:
-    """Classify one segment's frames handed over whole, as one block.
-
-    Gives the decision and frame scores of streaming the same frames,
-    bit for bit; frames fewer than the feature context cast no vote.
-    """
-    classifier = OnlineClassifier(bundle, majority_threshold)
-    classifier.push_frames(frames)
-    classifier.finish_segment()
-    return classifier.decision()
-
-
 def classify_offline(
     segments: list[AudioSegment],
     bundle: ModelBundle,
     majority_threshold: float = 0.0,
     stats: Stats | None = None,
 ) -> list[SegmentDecision]:
-    """Per-frame scores and vote-latched decisions for annotated segments, one block each.
+    """Per-frame scores and vote-latched decisions for annotated segments.
 
-    Segments shorter than the feature set's required context propagate
-    SegmentTooShort. `stats`, if given, counts frames and vectors.
+    Each segment's rows are extracted in one block and scored one `decide`
+    call at a time, which gives the streamed scores bit for bit; the vote
+    rule is then replayed over them. Segments shorter than the feature
+    set's required context propagate SegmentTooShort. `stats`, if given,
+    counts frames and vectors.
     """
-    min_frames = required_context(bundle.feature_config)
     decisions = []
     for segment in segments:
         frames = frame_stream(segment)
-        if len(frames) < min_frames:
-            raise SegmentTooShort(
-                f"{segment.segment_id}: {len(frames)} frames < context {min_frames}"
-            )
-        decisions.append(classify_block(frames, bundle, majority_threshold))
+        indices, rows = extract_matrix(frames, bundle.feature_config)
+        scores = [bundle.decide(row) for row in rows]
+        decisions.append(decision_from_scores(segment.segment_id, indices, scores,
+                                              majority_threshold))
         if stats is not None:
             stats.count("frames", len(frames))
-            stats.count("vectors", decisions[-1].frame_scores.size)
+            stats.count("vectors", len(scores))
     return decisions
 
 

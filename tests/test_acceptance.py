@@ -297,7 +297,7 @@ def test_criterion_streaming_performance(tmp_path):
     for kind in FeatureKind:
         config = FeatureSetConfig(kind)
         bundle = fit_bundle(speaker_frames(segments, config), config,
-                            SvmHyperParams(C=1.0, eps=0.1, gamma=0.05), seed=0, pca_epsilon=0.95)
+                            SvmHyperParams(C=1.0, eps=0.1, gamma=0.05), seed=0)
         model_path = tmp_path / f"{kind.value}.nlcm"
         save_model(bundle, model_path)
         listen_out = tmp_path / f"listen_{kind.value}"

@@ -2,15 +2,20 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlconfirm
 from nlconfirm import cli
 from nlconfirm.cli import main
-from nlconfirm.corpus import load_segments, parse_manifest
+from nlconfirm.corpus import frame_stream, load_segments, parse_manifest
 from nlconfirm.evaluate import CvReport, frame_metrics, speaker_frames
-from nlconfirm.featset import FeatureKind, FeatureSetConfig
+from nlconfirm.featset import FeatureKind, FeatureSetConfig, extract_matrix
 from nlconfirm.learn import SvmHyperParams, load_model
 from nlconfirm.learn.cv_core import run_louo_folds
 from nlconfirm.pipeline import classify_segment
@@ -59,6 +64,10 @@ def test_extract_writes_matrices(corpus_dir, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == [f"f{i}" for i in range(13)]
     assert len(rows) - 1 == first["rows"]
+    segment = load_segments(corpus_dir / "manifest.csv")[0]
+    assert segment.segment_id == first["segment_id"]
+    _, matrix = extract_matrix(frame_stream(segment), FeatureSetConfig(FeatureKind.MFCC))
+    assert rows[1:] == [[f"{v:.12g}" for v in row] for row in matrix]
 
 
 def test_train_records_shipped_defaults(model_dir):
@@ -143,8 +152,8 @@ def test_grid_searched_cv_report_equals_folds_at_best_point(corpus_dir, tmp_path
                "--features", "mfcc", "--grid-search", "--seed", 6, "--out", tmp_path) == 0
     report = json.loads((tmp_path / "eval_mfcc.json").read_text())
     config = FeatureSetConfig(FeatureKind.MFCC)
-    folds = run_louo_folds(speaker_frames(load_segments(manifest), config), config,
-                           SvmHyperParams.from_dict(report["params"]), seed=6)
+    folds, = run_louo_folds(speaker_frames(load_segments(manifest), config), config,
+                            [SvmHyperParams.from_dict(report["params"])], seed=6)
     assert report["cv"] == CvReport(folds=folds).to_dict()
 
 
@@ -157,13 +166,20 @@ def test_exit_code_non_finite_svm_flag(corpus_dir, tmp_path, svm_flags):
                *svm_flags, "--out", tmp_path / "o") == 2
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_incomplete_svm_flags_fail_before_extraction(corpus_dir, tmp_path, monkeypatch, command):
+    monkeypatch.setattr(cli, "speaker_frames", lambda *a: pytest.fail("extracted features"))
+    assert run(command, "--manifest", corpus_dir / "manifest.csv", "--features", "mfcc",
+               "--svm-c", "1", "--out", tmp_path / "o") == 2
+
+
 @pytest.mark.parametrize("command, flags", [
     ("evaluate", ("--train-fraction", "1.5")),
     ("evaluate", ("--train-fraction", "0")),
     ("evaluate", ("--train-fraction", "nan")),
-    ("evaluate", ("--pca-epsilon", "0")),
-    ("evaluate", ("--pca-epsilon", "1.5")),
-    ("evaluate", ("--pca-epsilon", "nan")),
+    ("evaluate", ("--majority-threshold", "nan")),
+    ("evaluate", ("--majority-threshold", "1")),
+    ("evaluate", ("--majority-threshold", "-1.5")),
     ("classify", ("--majority-threshold", "nan")),
     ("classify", ("--majority-threshold", "2")),
     ("listen", ("--hangover-ms", "-50")),
@@ -180,6 +196,41 @@ def test_exit_code_numeric_flag_out_of_range(corpus_dir, model_dir, tmp_path, co
                    model_dir / "model.nlcm"),
     }
     assert run(command, *inputs[command], *flags, "--out", tmp_path / "o") == 2
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("grid-search", ("--svm-c", "5")),  # the search never read the --svm-* flags
+    ("evaluate", ("--pca-epsilon", "0.9")),  # PCA keeps a fixed 95 % of the variance
+])
+def test_removed_flags_rejected(corpus_dir, tmp_path, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--manifest", corpus_dir / "manifest.csv", "--features", "mfcc",
+            *flags, "--out", tmp_path / "o")
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["classify", "extract"])
+def test_segment_shorter_than_context_exits_3_naming_it(corpus_dir, model_dir, tmp_path,
+                                                         capsys, command):
+    # a 100 ms span gives 8 frames, fewer than the 15 a stacked_formants vector needs
+    manifest = tmp_path / "short.csv"
+    manifest.write_text("wav_path,speaker_id,start_ms,end_ms,label\n"
+                        f"{corpus_dir / 'wavs' / 'spk00.wav'},spk00,316,416,other\n")
+    segment_id = load_segments(manifest)[0].segment_id
+    flags = {"classify": ("--model", model_dir / "model.nlcm"),
+             "extract": ("--features", "stacked_formants")}[command]
+    assert run(command, "--manifest", manifest, *flags, "--out", tmp_path / "o") == 3
+    assert f"{segment_id}: 8 frames < required context 15" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only synth-corpus needs scipy; every other command starts without it
+    env = {**os.environ, "PYTHONPATH": str(Path(nlconfirm.__file__).parents[1])}
+    probe = ("import sys, nlconfirm.cli; "
+             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_out_of_range_value_from_config_file(corpus_dir, model_dir, tmp_path):

@@ -1,5 +1,7 @@
 """Balancing, ROC/AUC, confusion metrics, cross-validation and grid search."""
 
+import typing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from nlconfirm.corpus import Label
 from nlconfirm.errors import LengthMismatch, MissingClass
 from nlconfirm.evaluate import (
     CvReport,
+    EvalReport,
     frame_metrics,
     roc_auc,
     segment_metrics,
@@ -217,9 +220,9 @@ class TestLouoCv:
         report = CvReport(folds=run_louo_folds(
             speaker_frames(segments, config),
             config,
-            SvmHyperParams(C=1.0, eps=0.05, gamma=0.05),
+            [SvmHyperParams(C=1.0, eps=0.05, gamma=0.05)],
             seed=0,
-        ))
+        )[0])
         assert isinstance(report, CvReport)
         assert sorted(f.speaker_id for f in report.folds) == ["alice", "bob"]
         assert all(0.0 <= f.accuracy <= 1.0 for f in report.folds)
@@ -244,9 +247,13 @@ class TestLouoCv:
         segments = _two_speaker_segments()
         config = FeatureSetConfig(FeatureKind.MFCC)
         params = SvmHyperParams(C=1.0, eps=0.05, gamma=0.05)
-        a = run_louo_folds(speaker_frames(segments, config), config, params, seed=3)
-        b = run_louo_folds(speaker_frames(segments, config), config, params, seed=3)
+        a, = run_louo_folds(speaker_frames(segments, config), config, [params], seed=3)
+        b, = run_louo_folds(speaker_frames(segments, config), config, [params], seed=3)
         assert [f.accuracy for f in a] == [f.accuracy for f in b]
+
+
+def test_eval_report_annotations_resolve():
+    assert typing.get_type_hints(EvalReport)["params"] is SvmHyperParams
 
 
 TWO_DIM = FeatureSetConfig(FeatureKind.FORMANT_SD)  # 2-D, no PCA
@@ -274,6 +281,9 @@ class TestGridSearch:
         result = grid_search(self._speakers(), TWO_DIM, seed=0)
         assert len(result.points) == 16
         assert len(DEFAULT_GRID) == 16
+        # the search scores the grid in its built order, which the tie-break relies on
+        assert list(DEFAULT_GRID) == sorted(DEFAULT_GRID, key=lambda p: (p.C, p.eps, p.gamma))
+        assert [p.params for p in result.points] == list(DEFAULT_GRID)
         assert all(p.weighted_accuracy == 1.0 for p in result.points)
         # all tied: lexicographically smallest triple wins
         assert (result.best.C, result.best.eps, result.best.gamma) == (1.0, 0.005, 0.005)
@@ -306,13 +316,12 @@ def overlapping_speakers(config, seed=11):
     return speakers
 
 
-def reference_fold_accuracies(speakers, config, params, seed, pca_epsilon=0.95):
+def reference_fold_accuracies(speakers, config, params, seed):
     """One fit_bundle per fold, the held-out speaker scored by sign."""
     out = []
     for held_out in speakers:
         rest = [s for s in speakers if s.speaker_id != held_out.speaker_id]
-        bundle = fit_bundle(rest, config, params, seed=_fold_seed(seed, held_out.speaker_id),
-                            pca_epsilon=pca_epsilon)
+        bundle = fit_bundle(rest, config, params, seed=_fold_seed(seed, held_out.speaker_id))
         predicted = np.where(bundle.decide_many(held_out.vectors) > 0.0, 1.0, -1.0)
         out.append((held_out.speaker_id, float(np.mean(predicted == held_out.labels))))
     return out
@@ -339,7 +348,7 @@ class TestGridOracle:
         assert len({w for _, w in expected.values()}) > 4
         best = max(expected, key=lambda p: (expected[p][1], -p.C, -p.eps, -p.gamma))
         assert result.best == best
-        assert result.best_point.folds == run_louo_folds(speakers, config, best, seed=5)
+        assert [result.best_point.folds] == run_louo_folds(speakers, config, [best], seed=5)
 
     def test_grid_with_repeats_and_any_order(self):
         config = TWO_DIM
@@ -349,7 +358,7 @@ class TestGridOracle:
         per_point = run_louo_folds(speakers, config, grid, seed=2)
         assert len(per_point) == len(grid)
         for params, folds in zip(grid, per_point):
-            assert folds == run_louo_folds(speakers, config, params, seed=2)
+            assert [folds] == run_louo_folds(speakers, config, [params], seed=2)
             assert [(f.speaker_id, f.accuracy) for f in folds] == \
                 reference_fold_accuracies(speakers, config, params, seed=2)
 
@@ -376,7 +385,7 @@ class TestGridOracle:
     def test_chain_gathers_the_balanced_rows(self):
         config = TWO_DIM
         speakers = overlapping_speakers(config, seed=13)
-        chain = fit_chain(speakers, config, seed=4, pca_epsilon=0.95)
+        chain = fit_chain(speakers, config, seed=4)
         x = np.concatenate([s.vectors for s in speakers])
         y = np.concatenate([s.labels for s in speakers])
         bal_x, bal_y = balance_classes(x, y, seed=4)
