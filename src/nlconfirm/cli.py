@@ -169,7 +169,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     for seg in segments:
         with stats.stage("extract"):
             frames = frame_stream(seg)
-            indices, matrix = extract_matrix(frames, config)
+            indices, matrix = extract_matrix(frames, config, stats)
         stats.count("frames", len(frames))
         stats.count("vectors", len(indices))
         name = f"{seg.segment_id}.csv"
@@ -368,7 +368,7 @@ def cmd_listen(args: argparse.Namespace) -> int:
     audio_seconds = sum(len(s.samples) for s in segments) / audio.sample_rate
     with stats.stage("classify"):
         for segment in segments:
-            decision = classify_segment(segment, bundle, args.majority_threshold)
+            decision = classify_segment(segment, bundle, args.majority_threshold, stats)
             stats.count("vectors", decision.frame_scores.size)
             trigger = decision.trigger
             if trigger is not None:

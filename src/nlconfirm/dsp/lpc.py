@@ -1,9 +1,13 @@
 """Linear prediction, polynomial roots and formant frequencies.
 
 The chain for one Hann-windowed frame: autocorrelation LPC of order 12
-(Levinson-Durbin) -> roots of the prediction-error polynomial (companion
-matrix eigenvalues) -> reflection of out-of-circle roots -> the two lowest
-resonance frequencies that survive the low-cut and bandwidth filters.
+(Levinson-Durbin) -> roots of the prediction-error polynomial (eigenvalues
+of its real companion matrix) -> reflection of out-of-circle roots -> the
+two lowest resonance frequencies that survive the low-cut and bandwidth
+filters. The real-typed solver returns real roots with an imaginary part
+of exactly 0, so a real root near -1 has angle pi and is no formant
+candidate. Streaming and block extraction both run this one chain, frame
+by frame.
 """
 
 from __future__ import annotations
@@ -46,29 +50,38 @@ class FormantPair:
 def lpc(windowed: np.ndarray, order: int = LPC_ORDER) -> LpcResult:
     """Autocorrelation-method LPC via the Levinson-Durbin recursion.
 
-    Raises DegenerateFrame for a zero-energy frame. A tiny noise floor
-    (1e-9 relative) keeps the recursion stable on nearly-perfectly
-    predictable input; if the residual energy still collapses, the
-    remaining reflection coefficients are treated as zero.
+    The order + 1 autocorrelation lags are one product of the frame with a
+    strided (n, order + 1) view of its zero-padded copy; the recursion then
+    runs on Python floats, which beats numpy calls at order 12. Raises
+    DegenerateFrame for a zero-energy frame. A tiny noise floor (1e-9
+    relative) keeps the recursion stable on nearly-perfectly predictable
+    input; if the residual energy still collapses, the remaining
+    reflection coefficients are treated as zero.
     """
     x = np.asarray(windowed, dtype=np.float64)
-    if x.size <= order:
-        raise DegenerateFrame(f"frame of {x.size} samples too short for order {order}")
-    r = np.array([np.dot(x[: x.size - k], x[k:]) for k in range(order + 1)])
+    n = x.size
+    if n <= order:
+        raise DegenerateFrame(f"frame of {n} samples too short for order {order}")
+    padded = np.zeros(n + order)
+    padded[:n] = x
+    step = padded.itemsize
+    lagged = np.ndarray((n, order + 1), np.float64, padded, 0, (step, step))
+    r = (x @ lagged).tolist()   # r[k] = sum_i x[i] x[i + k]
     if r[0] <= 0.0:
         raise DegenerateFrame("zero-energy frame")
     r[0] *= 1.0 + 1e-9
-    a = np.zeros(order + 1)
-    a[0] = 1.0
+    a = [1.0] + [0.0] * order
     err = r[0]
     for k in range(1, order + 1):
         if err <= 0.0:
             break
-        acc = r[k] + np.dot(a[1:k], r[k - 1:0:-1])
-        lam = -acc / err
-        a[1 : k + 1] += lam * a[k - 1 :: -1][:k]
+        acc = 0.0
+        for j in range(1, k):
+            acc += a[j] * r[k - j]
+        lam = -(r[k] + acc) / err
+        a[1:k + 1] = [a[j] + lam * a[k - j] for j in range(1, k + 1)]
         err *= 1.0 - lam * lam
-    return LpcResult(order=order, coefficients=-a[1:], gain=float(max(err, 0.0)))
+    return LpcResult(order=order, coefficients=-np.array(a[1:]), gain=max(err, 0.0))
 
 
 def lpc_polynomial(result: LpcResult) -> np.ndarray:
@@ -77,14 +90,16 @@ def lpc_polynomial(result: LpcResult) -> np.ndarray:
 
 
 def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDUAL_TOL) -> np.ndarray:
-    """All complex roots of a polynomial (coefficients highest power first).
+    """All complex roots of a real polynomial (coefficients highest power first).
 
-    Solved as eigenvalues of the companion matrix. Every root r is checked
-    against |p(r)| <= tol * sum_i |c_i| |r|^(deg-i); NumericalFailure if any
-    root misses that residual bound.
+    Solved as eigenvalues of the real companion matrix, so a real root
+    comes back with an imaginary part of exactly 0; the result is always
+    complex128. Every root r is checked against
+    |p(r)| <= tol * sum_i |c_i| |r|^(deg-i); NumericalFailure names the
+    first root that misses that residual bound.
     """
-    c = np.atleast_1d(np.asarray(coefficients, dtype=np.complex128))
-    nonzero = np.nonzero(np.abs(c) > 0.0)[0]
+    c = np.atleast_1d(np.asarray(coefficients, dtype=np.float64))
+    nonzero = np.flatnonzero(np.abs(c) > 0.0)
     if nonzero.size == 0:
         raise ValueError("zero polynomial has no defined roots")
     c = c[nonzero[0]:]
@@ -92,26 +107,25 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
         raise ValueError("polynomial degree must be >= 1")
     # trailing zero coefficients are roots at the origin
     tail = 0
-    while np.abs(c[-1]) == 0.0:
+    while c[-1] == 0.0:
         c = c[:-1]
         tail += 1
-    roots = np.zeros(tail, dtype=np.complex128)
+    roots = np.zeros(c.size - 1 + tail, dtype=np.complex128)
     if c.size >= 2:
-        monic = c / c[0]
-        deg = monic.size - 1
-        companion = np.eye(deg, k=-1, dtype=np.complex128)
-        companion[0, :] = -monic[1:]
-        roots = np.concatenate([np.linalg.eigvals(companion), roots])
-    # one Horner pass over all roots for p(r) and for the bound sum_i |c_i| |r|^(deg-i)
-    full = np.concatenate([c, np.zeros(tail, dtype=np.complex128)])
-    radii = np.maximum(np.abs(roots), 1e-300)
-    value = np.zeros_like(roots)
-    scale = np.zeros_like(radii)
-    for coefficient, magnitude in zip(full, np.abs(full)):
-        value = value * roots + coefficient
-        scale = scale * radii + magnitude
-    residual = np.abs(value)
-    failed = np.nonzero(residual > residual_tol * scale)[0]
+        companion = np.eye(c.size - 1, k=-1)
+        companion[0, :] = -c[1:] / c[0]
+        roots[:c.size - 1] = np.linalg.eigvals(companion)
+    # one Horner pass: row 0 is p(r), row 1 the bound sum_i |c_i| |r|^(deg-i)
+    full = np.concatenate((c, np.zeros(tail)))
+    steps = np.array([full, np.abs(full)], dtype=np.complex128).T[:, :, None]
+    point = np.array([roots, np.maximum(np.abs(roots), 1e-300)])
+    value = np.zeros_like(point)
+    for step in steps:
+        value *= point
+        value += step
+    residual = np.abs(value[0])
+    scale = value[1].real
+    failed = np.flatnonzero(residual > residual_tol * scale)
     if failed.size:
         i = failed[0]
         raise NumericalFailure(

@@ -105,7 +105,8 @@ def speaker_frames(
 
     Each segment goes through extraction as one block. Speakers without a
     confirmation segment are excluded, as are segments shorter than the
-    feature set's context. `stats`, if given, counts frames and vectors.
+    feature set's context. `stats`, if given, counts frames, vectors and
+    formant zero pairs.
     """
     min_frames = required_context(config)
     by_speaker: dict[str, list[AudioSegment]] = {}
@@ -122,7 +123,7 @@ def speaker_frames(
             frames = frame_stream(seg)
             if len(frames) < min_frames:
                 continue
-            _, rows = extract_matrix(frames, config)
+            _, rows = extract_matrix(frames, config, stats)
             blocks.append(rows)
             labels.append(np.full(len(rows), label_sign(seg.label)))
             if stats is not None:

@@ -49,6 +49,7 @@ from .dsp import (
     polynomial_roots,
 )
 from .errors import DegenerateFrame, NumericalFailure, SegmentTooShort
+from .stats import Stats
 
 STACK_DEPTH = 15          # frames per stack / SD window
 DELTA_CONTEXT = 7         # Savitzky-Golay filter length
@@ -77,6 +78,7 @@ _DIMENSIONS = {
 
 _MFCC_KINDS = {FeatureKind.MFCC, FeatureKind.MFCC_DELTA, FeatureKind.STACKED_MFCC}
 _FORMANT_KINDS = {FeatureKind.FORMANT_SD, FeatureKind.STACKED_FORMANTS}
+_FORMANT_COUNTERS = ("formant_silent", "formant_root_failures", "formant_no_candidate")
 _PITCH_KINDS = {FeatureKind.PITCH, FeatureKind.STACKED_PITCH}
 _STACKED_KINDS = {
     FeatureKind.STACKED_MFCC,
@@ -152,19 +154,30 @@ def emitted_count(config: FeatureSetConfig | FeatureKind, n_frames: int) -> int:
     return n_frames
 
 
-def _formant_pair(windowed: np.ndarray) -> np.ndarray:
+def _formant_pair(windowed: np.ndarray, stats: Stats | None = None) -> np.ndarray:
     """(F1, F2) of one windowed frame.
 
     A frame that cannot give formants yields the zero pair (both formants
     absent) instead of aborting the stream: a zero-energy frame
     (DegenerateFrame) or one whose LPC roots miss the residual bound
-    (NumericalFailure).
+    (NumericalFailure). `stats`, if given, counts zero pairs by cause:
+    formant_silent, formant_root_failures, and formant_no_candidate when
+    no root survives the formant filters.
     """
     try:
         roots = fix_roots(polynomial_roots(lpc_polynomial(lpc(windowed))))
-    except (DegenerateFrame, NumericalFailure):
+    except DegenerateFrame:
+        if stats is not None:
+            stats.count("formant_silent")
         return np.zeros(2)
-    return formants(roots, SAMPLE_RATE).as_array()
+    except NumericalFailure:
+        if stats is not None:
+            stats.count("formant_root_failures")
+        return np.zeros(2)
+    pair = formants(roots, SAMPLE_RATE)
+    if pair.f1 == 0.0 and stats is not None:
+        stats.count("formant_no_candidate")
+    return pair.as_array()
 
 
 def _windows(series: np.ndarray, offset: int, first: int, stop: int,
@@ -212,14 +225,19 @@ class StreamingExtractor:
 
     Only the last STACK_DEPTH base vectors are kept, in a contiguous
     buffer, plus a count of frames pushed since `reset`: memory and
-    per-frame cost are constant in the segment length.
+    per-frame cost are constant in the segment length. `stats`, if given,
+    receives the formant zero-pair counters (see `_formant_pair`).
     """
 
-    def __init__(self, config: FeatureSetConfig):
+    def __init__(self, config: FeatureSetConfig, stats: Stats | None = None):
         self.config = config
+        self._stats = stats
         self._window = make_window(window_kind_for(config), FRAME_LEN)
         kind = config.kind
         base_dimension = N_MFCC if kind in _MFCC_KINDS else 2 if kind in _FORMANT_KINDS else 1
+        if stats is not None and kind in _FORMANT_KINDS:
+            for name in _FORMANT_COUNTERS:
+                stats.count(name, 0)
         # rows [_end - min(_count, STACK_DEPTH), _end) are the latest base vectors
         self._history = np.empty((2 * STACK_DEPTH, base_dimension))
         self._end = 0
@@ -239,7 +257,7 @@ class StreamingExtractor:
         if kind in _MFCC_KINDS:
             return mfcc(windowed, SAMPLE_RATE)
         if kind in _FORMANT_KINDS:
-            return _formant_pair(windowed)
+            return _formant_pair(windowed, self._stats)
         return np.array([pitch_yin_fft(windowed, SAMPLE_RATE)])
 
     def _base_block(self, frames: Sequence[Frame]) -> np.ndarray:
@@ -323,13 +341,14 @@ class StreamingExtractor:
         return range(0), np.empty((0, self.config.raw_dimension))
 
 
-def extract_matrix(frames: Sequence[Frame], config: FeatureSetConfig) -> tuple[range, np.ndarray]:
+def extract_matrix(frames: Sequence[Frame], config: FeatureSetConfig,
+                   stats: Stats | None = None) -> tuple[range, np.ndarray]:
     """Frame indices and (n, d) feature rows of one segment, pushed as one block.
 
     Context-bearing kinds emit N - 14 vectors for N frames; the derivative
     set and the plain kinds emit N. Raises SegmentTooShort when the stream
     is shorter than the kind's required context; its message names the
-    segment.
+    segment. `stats`, if given, receives the formant zero-pair counters.
     """
     if len(frames) < required_context(config):
         ref = frames[0].segment_ref if frames else "(no frames)"
@@ -337,7 +356,7 @@ def extract_matrix(frames: Sequence[Frame], config: FeatureSetConfig) -> tuple[r
             f"{ref}: {len(frames)} frames < required context {required_context(config)} "
             f"for {config.kind.value}"
         )
-    extractor = StreamingExtractor(config)
+    extractor = StreamingExtractor(config, stats)
     indices, rows = extractor.push_block(frames)
     tail, tail_rows = extractor.finish_block()
     if tail:

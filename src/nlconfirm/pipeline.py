@@ -94,10 +94,11 @@ class OnlineClassifier:
     immutable and may back any number of concurrent classifiers.
     """
 
-    def __init__(self, bundle: ModelBundle, majority_threshold: float = 0.0):
+    def __init__(self, bundle: ModelBundle, majority_threshold: float = 0.0,
+                 stats: Stats | None = None):
         self.bundle = bundle
         self.majority_threshold = majority_threshold
-        self._extractor = StreamingExtractor(bundle.feature_config)
+        self._extractor = StreamingExtractor(bundle.feature_config, stats)
         self.state = OnlineState(majority_threshold=majority_threshold)
         self._segment_ref: str | None = None
         self._indices: list[int] = []
@@ -147,10 +148,16 @@ class OnlineClassifier:
 
 
 def classify_segment(
-    segment: AudioSegment, bundle: ModelBundle, majority_threshold: float = 0.0
+    segment: AudioSegment,
+    bundle: ModelBundle,
+    majority_threshold: float = 0.0,
+    stats: Stats | None = None,
 ) -> SegmentDecision:
-    """Stream one segment frame by frame through the classifier (the online mode)."""
-    classifier = OnlineClassifier(bundle, majority_threshold)
+    """Stream one segment frame by frame through the classifier (the online mode).
+
+    `stats`, if given, receives the formant zero-pair counters.
+    """
+    classifier = OnlineClassifier(bundle, majority_threshold, stats)
     for frame in frame_stream(segment):
         classifier.push_frame(frame)
     classifier.finish_segment()
@@ -169,12 +176,12 @@ def classify_offline(
     call at a time, which gives the streamed scores bit for bit; the vote
     rule is then replayed over them. Segments shorter than the feature
     set's required context propagate SegmentTooShort. `stats`, if given,
-    counts frames and vectors.
+    counts frames, vectors and formant zero pairs.
     """
     decisions = []
     for segment in segments:
         frames = frame_stream(segment)
-        indices, rows = extract_matrix(frames, bundle.feature_config)
+        indices, rows = extract_matrix(frames, bundle.feature_config, stats)
         scores = [bundle.decide(row) for row in rows]
         decisions.append(decision_from_scores(segment.segment_id, indices, scores,
                                               majority_threshold))

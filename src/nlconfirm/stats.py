@@ -3,8 +3,12 @@
 A command makes one Stats and passes it explicitly to what it measures;
 there is no global registry. `RunContext.finish` writes both tables into
 `run_metadata.json`. Stages used: load, extract, search, fit, classify.
-Counters used: frames (pushed through feature extraction) and vectors
-(feature vectors produced).
+Counters used: frames (pushed through feature extraction), vectors
+(feature vectors produced) and, for the formant feature sets, the frames
+whose formant pair is zero-filled, by cause: formant_silent (zero-energy
+frame), formant_root_failures (LPC roots miss the residual bound) and
+formant_no_candidate (no root survives the frequency and bandwidth
+filters).
 """
 
 from __future__ import annotations

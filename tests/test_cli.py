@@ -14,11 +14,23 @@ import nlconfirm
 from nlconfirm import cli
 from nlconfirm.cli import main
 from nlconfirm.corpus import frame_stream, load_segments, parse_manifest
+from nlconfirm.dsp import (
+    WindowKind,
+    apply_window,
+    fix_roots,
+    formants,
+    lpc,
+    lpc_polynomial,
+    make_window,
+    polynomial_roots,
+)
+from nlconfirm.errors import DegenerateFrame, NumericalFailure
 from nlconfirm.evaluate import CvReport, frame_metrics, speaker_frames
 from nlconfirm.featset import FeatureKind, FeatureSetConfig, extract_matrix
 from nlconfirm.learn import SvmHyperParams, load_model
 from nlconfirm.learn.cv_core import run_louo_folds
 from nlconfirm.pipeline import classify_segment
+from nlconfirm.synth import SynthConfig, generate_corpus
 
 FAST_SVM = ["--svm-c", "1", "--svm-eps", "0.1", "--svm-gamma", "0.05"]
 
@@ -330,3 +342,48 @@ def test_exit_code_directory_as_manifest(tmp_path):
     # IsADirectoryError (an OSError, not a FileNotFoundError) is a data error too
     assert run("evaluate", "--manifest", tmp_path, "--features", "mfcc",
                "--out", tmp_path / "o") == 3
+
+
+def _formant_zero_pairs(segments) -> dict[str, int]:
+    """Recount the formant zero-pair causes, one frame at a time."""
+    window = make_window(WindowKind.HANN, 400)
+    counts = dict.fromkeys(("formant_silent", "formant_root_failures", "formant_no_candidate"), 0)
+    for segment in segments:
+        for frame in frame_stream(segment):
+            try:
+                roots = polynomial_roots(lpc_polynomial(lpc(apply_window(frame.samples, window))))
+            except DegenerateFrame:
+                counts["formant_silent"] += 1
+                continue
+            except NumericalFailure:
+                counts["formant_root_failures"] += 1
+                continue
+            if formants(fix_roots(roots), 16000).f1 == 0.0:
+                counts["formant_no_candidate"] += 1
+    return counts
+
+
+def test_run_metadata_counts_formant_zero_pairs(tmp_path):
+    # at -15 dB the noise floor widens many LPC poles past the bandwidth bound
+    manifest = generate_corpus(tmp_path / "noisy", SynthConfig(
+        speakers=3, segments_per_speaker=6, confirmation_rate=0.34, seed=5, noise_db=-15.0))
+    segments = load_segments(manifest)
+    everything = _formant_zero_pairs(segments)
+    assert everything["formant_no_candidate"] > 0
+    wav = manifest.parent / "wavs" / "spk00.wav"
+    model = tmp_path / "model"
+    commands = {
+        "extract": (("--manifest", manifest), everything),
+        "train": (("--manifest", manifest, *FAST_SVM), everything),
+        "classify": (("--manifest", manifest, "--model", model / "model.nlcm"), everything),
+        "evaluate": (("--manifest", manifest, "--test-manifest", manifest, *FAST_SVM),
+                     {name: 2 * n for name, n in everything.items()}),
+        "listen": (("--wav", wav, "--manifest", manifest, "--model", model / "model.nlcm"),
+                   _formant_zero_pairs([s for s in segments if s.speaker_id == "spk00"])),
+    }
+    for command, (flags, want) in commands.items():
+        out = model if command == "train" else tmp_path / command
+        features = () if "--model" in flags else ("--features", "stacked_formants")
+        assert run(command, *flags, *features, "--out", out) == 0
+        counters = json.loads((out / "run_metadata.json").read_text())["counters"]
+        assert {name: counters[name] for name in want} == want, command

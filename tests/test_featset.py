@@ -24,7 +24,8 @@ from nlconfirm.dsp import (
     polynomial_roots,
     savitzky_golay,
 )
-from nlconfirm.errors import SegmentTooShort
+from nlconfirm import featset
+from nlconfirm.errors import NumericalFailure, SegmentTooShort
 from nlconfirm.featset import (
     DELTA_CONTEXT,
     PCA_KINDS,
@@ -40,6 +41,7 @@ from nlconfirm.featset import (
     required_context,
     window_kind_for,
 )
+from nlconfirm.stats import Stats
 
 from .conftest import make_segment, sine
 
@@ -420,3 +422,37 @@ class TestBlockPartition:
         indices, rows = extractor.push_block([])
         assert len(indices) == 0 and rows.shape == (0, 195)
         assert extractor.frames_consumed == 0
+
+
+class TestFormantCounters:
+    @staticmethod
+    def _counters(stats: Stats) -> dict[str, int]:
+        return {k: v for k, v in stats.counters.items() if k.startswith("formant_")}
+
+    def test_silent_frames_counted_alike_in_blocks_and_pushes(self):
+        # 16 all-zero frames, then noise frames
+        samples = np.concatenate([np.zeros(FRAME_LEN + 15 * HOP_LEN),
+                                  RNG.uniform(-0.3, 0.3, 10 * HOP_LEN)])
+        frames = frames_from(samples)
+        config = FeatureSetConfig(FeatureKind.STACKED_FORMANTS)
+        block, pushed = Stats(), Stats()
+        extract_matrix(frames, config, block)
+        extractor = StreamingExtractor(config, pushed)
+        for frame in frames:
+            extractor.push(frame)
+        assert self._counters(block)["formant_silent"] == 16
+        assert self._counters(block) == self._counters(pushed)
+
+    def test_root_failures_counted(self, monkeypatch):
+        def fail(coefficients):
+            raise NumericalFailure("residual")
+        monkeypatch.setattr(featset, "polynomial_roots", fail)
+        stats = Stats()
+        extract_matrix(noise_frames(20), FeatureSetConfig(FeatureKind.FORMANT_SD), stats)
+        assert self._counters(stats) == {
+            "formant_silent": 0, "formant_root_failures": 20, "formant_no_candidate": 0}
+
+    def test_other_kinds_add_no_formant_counters(self):
+        stats = Stats()
+        extract_matrix(noise_frames(20), FeatureSetConfig(FeatureKind.STACKED_MFCC), stats)
+        assert self._counters(stats) == {}

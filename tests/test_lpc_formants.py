@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from nlconfirm.corpus import FRAME_LEN, HOP_LEN
 from nlconfirm.dsp import (
     WindowKind,
     apply_window,
@@ -17,6 +18,8 @@ from nlconfirm.dsp import (
     polynomial_roots,
 )
 from nlconfirm.errors import DegenerateFrame, NumericalFailure
+from nlconfirm.featset import _formant_pair
+from nlconfirm.synth import SynthConfig, _confirmation_token
 
 from .conftest import resonator_signal
 
@@ -99,8 +102,9 @@ class TestPolynomialRoots:
             assert np.max(np.abs(got_sorted - want_sorted)) < 1e-6
 
     def test_residual_gate(self):
+        # z^2 + z + 1: the roots' residual is about 3e-16 against a bound of 1e-300 * 3
         with pytest.raises(NumericalFailure):
-            polynomial_roots([1.0, 0.0, 1.0], residual_tol=1e-300)
+            polynomial_roots([1.0, 1.0, 1.0], residual_tol=1e-300)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -193,8 +197,8 @@ class TestResonatorRecovery:
 
 
 def _reference_roots(coefficients, residual_tol):
-    """Companion-matrix roots, each checked with its own np.polyval residual."""
-    c = np.atleast_1d(np.asarray(coefficients, dtype=np.complex128))
+    """Real companion-matrix roots, each checked with its own np.polyval residual."""
+    c = np.atleast_1d(np.asarray(coefficients, dtype=np.float64))
     c = c[np.nonzero(np.abs(c) > 0.0)[0][0]:]
     tail = 0
     while np.abs(c[-1]) == 0.0:
@@ -204,11 +208,11 @@ def _reference_roots(coefficients, residual_tol):
     if c.size >= 2:
         monic = c / c[0]
         deg = monic.size - 1
-        companion = np.zeros((deg, deg), dtype=np.complex128)
+        companion = np.zeros((deg, deg))
         companion[0, :] = -monic[1:]
         companion[1:, :-1] = np.eye(deg - 1)
-        roots = np.concatenate([np.linalg.eigvals(companion), roots])
-    full = np.concatenate([c, np.zeros(tail, dtype=np.complex128)])
+        roots = np.concatenate([np.linalg.eigvals(companion).astype(np.complex128), roots])
+    full = np.concatenate([c, np.zeros(tail)]).astype(np.complex128)
     for r in roots:
         residual = np.abs(np.polyval(full, r))
         scale = np.polyval(np.abs(full), max(np.abs(r), 1e-300))
@@ -270,6 +274,152 @@ class TestResidualCheckOracle:
             assert polynomial_roots(poly).tobytes() == want.tobytes()
 
 
+def _reference_lpc(frame, order=12):
+    """numpy Levinson-Durbin: lags from one np.dot each, the recursion on arrays.
+
+    Returns (coefficients, gain, stage): stage is the k at which the
+    residual energy collapsed (err <= 0) and the recursion stopped, else None.
+    """
+    x = np.asarray(frame, dtype=np.float64)
+    r = np.array([np.dot(x[: x.size - k], x[k:]) for k in range(order + 1)])
+    if r[0] <= 0.0:
+        raise DegenerateFrame("zero-energy frame")
+    r[0] *= 1.0 + 1e-9
+    a = np.zeros(order + 1)
+    a[0] = 1.0
+    err = r[0]
+    stage = None
+    for k in range(1, order + 1):
+        if err <= 0.0:
+            stage = k
+            break
+        acc = r[k] + np.dot(a[1:k], r[k - 1:0:-1])
+        lam = -acc / err
+        a[1 : k + 1] += lam * a[k - 1 :: -1][:k]
+        err *= 1.0 - lam * lam
+    return -a[1:], float(max(err, 0.0)), stage
+
+
+def _toeplitz_condition(frame, order=12):
+    """Condition number of the order x order autocorrelation matrix Levinson solves."""
+    x = np.asarray(frame, dtype=np.float64)
+    r = np.array([np.dot(x[: x.size - k], x[k:]) for k in range(order)])
+    r[0] *= 1.0 + 1e-9
+    eig = np.linalg.eigvalsh(r[np.abs(np.subtract.outer(np.arange(order), np.arange(order)))] / r[0])
+    return eig[-1] / eig[0]
+
+
+@st.composite
+def lpc_frames(draw):
+    """Frames of 13-400 samples: arbitrary values, or a sinusoid with little or no noise."""
+    n = draw(st.integers(13, 400))
+    amplitude = 10.0 ** draw(st.floats(-100.0, 100.0))
+    if draw(st.booleans()):
+        values = draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+        return amplitude * values
+    t = np.arange(n)
+    omega = draw(st.floats(0.001, np.pi))
+    phase = draw(st.floats(0.0, 2 * np.pi))
+    noise = draw(st.sampled_from([0.0, 1e-6, 1e-3, 1e-1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frame = np.sin(omega * t + phase) + noise * rng.standard_normal(n)
+    if draw(st.booleans()):
+        frame *= make_window(WindowKind.HANN, n).coefficients
+    return amplitude * frame
+
+
+class TestLpcOracle:
+    """`lpc` against the numpy Levinson-Durbin it replaced.
+
+    Both solve the same Toeplitz system in a different summation order, so
+    they may differ by the system's forward error, about eps * kappa. The
+    gate is 1e-10 relative, widened to 16 eps kappa where kappa > ~3e4
+    (sinusoids with little noise reach kappa ~ 1e10 and differences of
+    ~1e-6).
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(lpc_frames())
+    def test_matches_numpy_levinson(self, frame):
+        try:
+            want, want_gain, _ = _reference_lpc(frame)
+        except DegenerateFrame:
+            with pytest.raises(DegenerateFrame):
+                lpc(frame)
+            return
+        assume(np.dot(frame, frame) > 1e-280)  # subnormal lags: see the early-stop test
+        got = lpc(frame)
+        tol = max(1e-10, 16 * np.finfo(float).eps * _toeplitz_condition(frame))
+        assert np.max(np.abs(got.coefficients - want)) <= tol * np.max(np.abs(want))
+        assert abs(got.gain - want_gain) <= tol * want_gain
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(13, 400), st.floats(-161.0, -155.0), st.floats(0.001, np.pi),
+           st.floats(0.0, 2 * np.pi), st.booleans())
+    def test_collapsed_residual_stops_the_recursion(self, n, log_amplitude, omega, phase, hann):
+        # The 1e-9 floor keeps err >= 1e-9 r[0] at normal scale, so only frames
+        # whose lags are subnormal (where the floor rounds away) reach err <= 0.
+        frame = 10.0 ** log_amplitude * np.sin(omega * np.arange(n) + phase)
+        if hann:
+            frame *= make_window(WindowKind.HANN, n).coefficients
+        try:
+            _, _, stage = _reference_lpc(frame)
+        except DegenerateFrame:
+            with pytest.raises(DegenerateFrame):
+                lpc(frame)
+            return
+        got = lpc(frame)
+        assert np.isfinite(got.coefficients).all()
+        if stage is not None:
+            # lags of a few subnormal units: the other summation order may leave
+            # a few units of residual energy instead of exactly none
+            assert 0.0 <= got.gain <= 8 * np.nextafter(0.0, 1.0)
+
+    def test_early_stop_on_an_exact_frame(self):
+        # 5 * 2 cos(pi t / 3) on the subnormal grid: every lag and product is exact
+        frame = np.ldexp(5.0 * np.resize([2.0, 1.0, -1.0, -2.0, -1.0, 1.0], 20), -540)
+        want, want_gain, stage = _reference_lpc(frame)
+        assert stage is not None
+        got = lpc(frame)
+        assert got.coefficients.tobytes() == want.tobytes()
+        assert got.gain == want_gain == 0.0
+
+    @pytest.mark.parametrize("frame", [np.zeros(400), np.full(400, 1e-170)])
+    def test_silent_frames(self, frame):
+        with pytest.raises(DegenerateFrame):
+            _reference_lpc(frame)
+        with pytest.raises(DegenerateFrame):
+            lpc(frame)
+
+    def test_frame_no_longer_than_the_order(self):
+        with pytest.raises(DegenerateFrame):
+            lpc(np.ones(12))
+
+
+# LPC polynomial (Hann window) of frame 1897 of seed-0 `spk01.wav`. Its roots
+# include the real root -0.9476, which a complex-typed solver returned with an
+# imaginary part of 3.3e-16 and formant picking took for a formant at Nyquist.
+PHANTOM_NYQUIST_POLYNOMIAL = np.array([
+    1.0, 0.2895854625102028, 0.21716017684341632, -0.006891209918057348,
+    -0.027595155178687842, 0.06826008390994365, -0.05420035039877054,
+    -0.008821326983862487, -0.005304986430798663, 0.16460304980386342,
+    -0.01951757056176859, 0.06629960730270112, -0.17301563555076693,
+])
+
+
+class TestRealRoots:
+    def test_real_root_is_no_formant(self):
+        roots = polynomial_roots(PHANTOM_NYQUIST_POLYNOMIAL)
+        assert roots.dtype == np.complex128
+        fp = formants(fix_roots(roots), FS)
+        assert (fp.f1, fp.f2) == (0.0, 0.0)
+
+    def test_all_real_roots_come_back_complex(self):
+        roots = polynomial_roots([1.0, 0.0, -1.0])
+        assert roots.dtype == np.complex128
+        assert np.all(roots.imag == 0.0)
+
+
 def _polar(freq_hz, mag):
     return mag * np.exp(1j * 2 * np.pi * freq_hz / FS)
 
@@ -313,3 +463,53 @@ class TestFormantsOracle:
         roots = np.array([root, np.conj(root)])
         assert formants(roots, FS).as_array().tobytes() == _reference_formants(roots, FS).tobytes()
         assert formants(roots, FS).f1 == 90.0
+
+
+def _token_formants(noise_db: float, f0_low: float = 95.0, f0_high: float = 235.0,
+                    tokens: int = 20) -> np.ndarray:
+    """(n, 2) formant pairs of the Hann frames of synthetic confirmation tokens.
+
+    Each token gets a speaker pitch drawn from [f0_low, f0_high] (the
+    synthesizer's range is 95-235 Hz). Frames that overlap the 30 ms
+    fade-in or fade-out are skipped; every frame goes through the feature
+    layer's own per-frame chain.
+    """
+    cfg = SynthConfig(noise_db=noise_db)
+    rng = np.random.default_rng(3)
+    window = make_window(WindowKind.HANN, FRAME_LEN)
+    ramp = 30 * FS // 1000
+    pairs = []
+    for _ in range(tokens):
+        token = _confirmation_token(rng, rng.uniform(f0_low, f0_high), cfg)
+        for start in range(ramp, token.size - ramp - FRAME_LEN + 1, HOP_LEN):
+            pairs.append(_formant_pair(apply_window(token[start:start + FRAME_LEN], window)))
+    return np.array(pairs)
+
+
+def _recovered(pairs: np.ndarray) -> np.ndarray:
+    """Frames with F1 within 75 Hz and F2 within 150 Hz of the synthesizer's centres.
+
+    The synthesizer jitters each token's centres by +/-25 and +/-50 Hz.
+    """
+    f1_c, f2_c = SynthConfig().confirmation_formants
+    return (np.abs(pairs[:, 0] - f1_c) <= 75.0) & (np.abs(pairs[:, 1] - f2_c) <= 150.0)
+
+
+class TestFormantRecoveryOracle:
+    """Formants of synthetic confirmation tokens against the synthesizer's resonators."""
+
+    def test_every_quiet_frame_recovers_both_formants(self):
+        # up to 212.5 Hz pitch the second harmonic lies inside F1's 75 Hz tolerance
+        pairs = _token_formants(-40.0, f0_high=212.0)
+        assert len(pairs) > 500
+        assert _recovered(pairs).all(), pairs[~_recovered(pairs)]
+
+    def test_high_pitch_frames_mostly_recover(self):
+        # above it, LPC sometimes locks F1 onto the second harmonic (about 3 % of frames)
+        pairs = _token_formants(-40.0, f0_low=212.5)
+        assert _recovered(pairs).mean() >= 0.95
+
+    @pytest.mark.parametrize("noise_db", [-40.0, -25.0])
+    def test_no_zero_pairs_at_low_noise(self, noise_db):
+        pairs = _token_formants(noise_db)
+        assert not np.any(np.all(pairs == 0.0, axis=1))
