@@ -32,7 +32,6 @@ from .featset import (
     FeatureSetConfig,
     FeatureVector,
     StreamingExtractor,
-    dimension,
     extract,
     feature_matrix,
     window_kind_for,
@@ -45,14 +44,12 @@ from .learn import (
     PcaTransform,
     SvmHyperParams,
     SvmModel,
-    decision_value,
     fit_normalizer,
     fit_pca,
     grid_search,
     load_model,
     save_model,
     save_model_json,
-    train_svm,
 )
 from .pipeline import (
     OnlineClassifier,

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Commands: synth-corpus, extract, train, grid-search, evaluate, classify,
-listen. Every command takes --out for its artifacts and writes a
-run_metadata.json echoing the configuration, the seed and timings: the
-run's duration plus per-stage seconds and counters (see `stats`).
+listen. `main` runs each one in a RunContext: it creates --out, and writes
+run_metadata.json from the metadata the command returns plus the
+configuration, the seed and timings: the run's duration and per-stage
+seconds and counters (see `stats`). --config values become the command's
+defaults, so any flag given on the command line wins.
 
 Exit codes: 0 success, 2 configuration error, 3 data error (including any
 OSError on an input or output path), 4 numerical error.
@@ -60,28 +62,20 @@ from .stats import Stats
 @dataclass
 class RunContext:
     out_dir: Path
-    started: float
     args: dict
+    started: float = field(default_factory=time.perf_counter)
     stats: Stats = field(default_factory=Stats)
 
-    def finish(self, extra: dict | None = None) -> None:
+    def finish(self, extra: dict) -> None:
         meta = {
             "version": __version__,
             "command": self.args.get("command"),
             "config": {k: v for k, v in self.args.items() if k != "command"},
             "duration_s": round(time.perf_counter() - self.started, 3),
             **self.stats.to_dict(),
+            **extra,
         }
-        if extra:
-            meta.update(extra)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         (self.out_dir / "run_metadata.json").write_text(json.dumps(meta, indent=2, default=str))
-
-
-def _context(args: argparse.Namespace) -> RunContext:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return RunContext(out_dir=out_dir, started=time.perf_counter(), args=vars(args).copy())
 
 
 def _feature_kinds(spec_str: str) -> list[FeatureKind]:
@@ -140,10 +134,20 @@ def _choose_params(
 # --- commands -----------------------------------------------------------------
 
 
-def cmd_synth_corpus(args: argparse.Namespace) -> int:
+def _load_speakers(args: argparse.Namespace,
+                   stats: Stats) -> tuple[FeatureSetConfig, list[SpeakerFrames]]:
+    """The one --features set, extracted per speaker from --manifest."""
+    config = FeatureSetConfig(_single_kind(args.features))
+    with stats.stage("load"):
+        segments = load_segments(args.manifest)
+    with stats.stage("extract"):
+        speakers = speaker_frames(segments, config, stats)
+    return config, speakers
+
+
+def cmd_synth_corpus(args: argparse.Namespace, ctx: RunContext) -> dict:
     from .synth import SynthConfig, generate_corpus  # the one command that needs scipy
 
-    ctx = _context(args)
     config = SynthConfig(
         speakers=args.speakers,
         segments_per_speaker=args.segments_per_speaker,
@@ -152,14 +156,11 @@ def cmd_synth_corpus(args: argparse.Namespace) -> int:
     )
     manifest = generate_corpus(ctx.out_dir, config)
     print(f"wrote {manifest}")
-    ctx.finish({"manifest": str(manifest)})
-    return 0
+    return {"manifest": str(manifest)}
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
-    ctx = _context(args)
-    kind = _single_kind(args.features)
-    config = FeatureSetConfig(kind)
+def cmd_extract(args: argparse.Namespace, ctx: RunContext) -> dict:
+    config = FeatureSetConfig(_single_kind(args.features))
     stats = ctx.stats
     with stats.stage("load"):
         segments = load_segments(args.manifest)
@@ -168,10 +169,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     index = []
     for seg in segments:
         with stats.stage("extract"):
-            frames = frame_stream(seg)
-            indices, matrix = extract_matrix(frames, config, stats)
-        stats.count("frames", len(frames))
-        stats.count("vectors", len(indices))
+            indices, matrix = extract_matrix(frame_stream(seg), config, stats)
         name = f"{seg.segment_id}.csv"
         with (feature_dir / name).open("w") as fh:
             np.savetxt(fh, matrix, fmt="%.12g", delimiter=",", comments="",
@@ -187,45 +185,29 @@ def cmd_extract(args: argparse.Namespace) -> int:
     sidecar = {"config": config.to_dict(), "segments": index}
     (ctx.out_dir / "features.json").write_text(json.dumps(sidecar, indent=2))
     print(f"extracted {len(index)} segments -> {feature_dir}")
-    ctx.finish({"segments": len(index)})
-    return 0
+    return {"segments": len(index)}
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    ctx = _context(args)
-    kind = _single_kind(args.features)
-    config = FeatureSetConfig(kind)
-    stats = ctx.stats
-    with stats.stage("load"):
-        segments = load_segments(args.manifest)
-    with stats.stage("extract"):
-        speakers = speaker_frames(segments, config, stats)
-    params, searched = _choose_params(speakers, config, args, stats)
-    with stats.stage("fit"):
+def cmd_train(args: argparse.Namespace, ctx: RunContext) -> dict:
+    config, speakers = _load_speakers(args, ctx.stats)
+    params, searched = _choose_params(speakers, config, args, ctx.stats)
+    with ctx.stats.stage("fit"):
         bundle = fit_bundle(speakers, config, params, seed=args.seed)
-    model_path = ctx.out_dir / args.model_name
+    model_path = ctx.out_dir / "model.nlcm"
     save_model(bundle, model_path)
-    save_model_json(bundle, model_path.with_suffix(model_path.suffix + ".json"))
-    print(f"trained {kind.value} (C={params.C}, eps={params.eps}, gamma={params.gamma}) "
+    save_model_json(bundle, ctx.out_dir / "model.nlcm.json")
+    print(f"trained {config.kind.value} (C={params.C}, eps={params.eps}, gamma={params.gamma}) "
           f"with {bundle.svm.alphas_signed.size} support vectors -> {model_path}")
-    ctx.finish({
+    return {
         "model": str(model_path),
         "params": params.to_dict(),
         "grid_searched": searched is not None,
-    })
-    return 0
+    }
 
 
-def cmd_grid_search(args: argparse.Namespace) -> int:
-    ctx = _context(args)
-    kind = _single_kind(args.features)
-    config = FeatureSetConfig(kind)
-    stats = ctx.stats
-    with stats.stage("load"):
-        segments = load_segments(args.manifest)
-    with stats.stage("extract"):
-        speakers = speaker_frames(segments, config, stats)
-    with stats.stage("search"):
+def cmd_grid_search(args: argparse.Namespace, ctx: RunContext) -> dict:
+    config, speakers = _load_speakers(args, ctx.stats)
+    with ctx.stats.stage("search"):
         result = grid_search(speakers, config, seed=args.seed)
     rows = []
     print(f"{'C':>6} {'eps':>7} {'gamma':>7} {'weighted CV accuracy':>22}")
@@ -235,11 +217,10 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
         rows.append({"params": p.to_dict(), "weighted_accuracy": point.weighted_accuracy})
     best = result.best
     print(f"best: C={best.C} eps={best.eps} gamma={best.gamma}")
-    (ctx.out_dir / f"grid_{kind.value}.json").write_text(json.dumps({
-        "feature_kind": kind.value, "best": best.to_dict(), "points": rows,
+    (ctx.out_dir / f"grid_{config.kind.value}.json").write_text(json.dumps({
+        "feature_kind": config.kind.value, "best": best.to_dict(), "points": rows,
     }, indent=2))
-    ctx.finish({"best": best.to_dict(), "points": len(rows)})
-    return 0
+    return {"best": best.to_dict(), "points": len(rows)}
 
 
 def _evaluate_kind(
@@ -286,8 +267,7 @@ def _evaluate_kind(
     )
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    ctx = _context(args)
+def cmd_evaluate(args: argparse.Namespace, ctx: RunContext) -> dict:
     kinds = _feature_kinds(args.features)
     with ctx.stats.stage("load"):
         if args.test_manifest:
@@ -314,13 +294,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         report.save_roc_csv(ctx.out_dir / f"roc_{kind.value}.csv")
         summary.append({"feature_kind": kind.value, "auc": report.roc.auc,
                         "segment_accuracy": report.segment_confusion.accuracy})
-    ctx.finish({"results": summary,
-                "train_segments": len(train_segments), "test_segments": len(test_segments)})
-    return 0
+    return {"results": summary,
+            "train_segments": len(train_segments), "test_segments": len(test_segments)}
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    ctx = _context(args)
+def cmd_classify(args: argparse.Namespace, ctx: RunContext) -> dict:
     stats = ctx.stats
     with stats.stage("load"):
         bundle = load_model(args.model)
@@ -344,12 +322,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
             fh.write(f"{segment.segment_id},{decision.decided_label.value},{trigger},{true}\n")
     n_conf = sum(1 for _, d in rows if d.decided_label is Label.CONFIRMATION)
     print(f"classified {len(rows)} segments ({n_conf} confirmations) -> {ctx.out_dir}")
-    ctx.finish({"segments": len(rows), "confirmations": n_conf})
-    return 0
+    return {"segments": len(rows), "confirmations": n_conf}
 
 
-def cmd_listen(args: argparse.Namespace) -> int:
-    ctx = _context(args)
+def cmd_listen(args: argparse.Namespace, ctx: RunContext) -> dict:
     stats = ctx.stats
     with stats.stage("load"):
         bundle = load_model(args.model)
@@ -384,18 +360,22 @@ def cmd_listen(args: argparse.Namespace) -> int:
             fh.write(json.dumps(event) + "\n")
     print(f"listened to {audio_seconds:.1f} s in {wall:.2f} s "
           f"(real-time factor {rtf:.3f}); {len(events)} triggers")
-    ctx.finish({"triggers": len(events), "audio_seconds": audio_seconds,
-                "wall_seconds": wall, "real_time_factor": rtf})
-    return 0
+    return {"triggers": len(events), "audio_seconds": audio_seconds,
+            "wall_seconds": wall, "real_time_factor": rtf}
 
 
 # --- argument plumbing ----------------------------------------------------------
 
 
 def _load_config_file(path: str) -> dict:
-    """key = value lines; '#' starts a comment."""
+    """key = value lines of UTF-8 text; '#' starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = exc.object[: exc.start].count(b"\n") + 1
+        raise ConfigError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -421,22 +401,17 @@ def _coerce(raw: str, action: argparse.Action) -> object:
     return raw
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill arguments from the config file; explicit flags keep priority.
+def _apply_config_file(command: str, parser: argparse.ArgumentParser, path: str) -> None:
+    """Make the config file's values the defaults of the command's parser.
 
-    A flag counts as explicit when its parsed value differs from the
-    parser default.
+    Parsing the command line again then lets every flag given there win,
+    whatever its value.
     """
-    if not getattr(args, "config", None):
-        return
-    file_values = _load_config_file(args.config)
-    actions = _COMMAND_ACTIONS[args.command]
-    for key, raw in file_values.items():
+    actions = {a.dest: a for a in parser._actions if a.dest != "help"}
+    for key, raw in _load_config_file(path).items():
         if key not in actions:
-            raise ConfigError(f"unknown config key {key!r} for command {args.command}")
-        action = actions[key]
-        if getattr(args, key) == action.default:
-            setattr(args, key, _coerce(raw, action))
+            raise ConfigError(f"unknown config key {key!r} for command {command}")
+        parser.set_defaults(**{key: _coerce(raw, actions[key])})
 
 
 # numeric flags whose bad values would otherwise fail deep inside a command
@@ -473,7 +448,7 @@ def _add_svm_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--svm-gamma", type=float, default=None, help="RBF width")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="nlconfirm",
         description="Detect non-lexical confirmations (mhm-style backchannels) in speech audio.",
@@ -494,7 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a manifest")
     _add_common(p)
     p.add_argument("--features", required=True)
-    p.add_argument("--model-name", default="model.nlcm")
     p.add_argument("--grid-search", action="store_true",
                    help="pick SVM parameters by grid search instead of the shipped defaults")
     _add_svm_flags(p)
@@ -529,16 +503,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vad-threshold", type=float, default=0.01)
     p.add_argument("--hangover-ms", type=int, default=200)
     p.add_argument("--majority-threshold", type=float, default=0.0)
+    return parser, sub.choices
 
-    global _COMMAND_ACTIONS
-    _COMMAND_ACTIONS = {
-        name: {a.dest: a for a in sp._actions if a.dest != "help"}
-        for name, sp in sub.choices.items()
-    }
-    return parser
-
-
-_COMMAND_ACTIONS: dict[str, dict[str, argparse.Action]] = {}
 
 _COMMANDS = {
     "synth-corpus": cmd_synth_corpus,
@@ -552,11 +518,17 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        if args.config:
+            _apply_config_file(args.command, commands[args.command], args.config)
+            args = parser.parse_args(argv)
         _check_ranges(args)
-        return _COMMANDS[args.command](args)
+        ctx = RunContext(out_dir=Path(args.out), args=vars(args).copy())
+        ctx.out_dir.mkdir(parents=True, exist_ok=True)
+        ctx.finish(_COMMANDS[args.command](args, ctx))
+        return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -188,6 +189,8 @@ def load_wav(path: str | Path) -> AudioBuffer:
         raise CorruptFile(f"{path}: {exc}") from exc
     except EOFError as exc:
         raise CorruptFile(f"{path}: truncated header") from exc
+    except RuntimeError as exc:  # the stdlib reader's chunk seek, e.g. a size past the end
+        raise CorruptFile(f"{path}: chunk extends past the end of the file") from exc
     if len(data) < 2 * n_frames:
         raise CorruptFile(f"{path}: data chunk truncated ({len(data)} of {2 * n_frames} bytes)")
     samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
@@ -212,39 +215,47 @@ def parse_manifest(path: str | Path) -> list[SegmentDescriptor]:
 
     Expected header: ``wav_path,speaker_id,start_ms,end_ms,label`` with
     label in {confirmation, other} (case-insensitive). Row numbers in
-    errors are 1-based file line numbers (header is line 1).
+    errors are 1-based file line numbers (header is line 1). A byte that is
+    not UTF-8 and a NUL in wav_path are ParseErrors too.
     """
     path = Path(path)
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})",
+                         row=raw[: exc.start].count(b"\n") + 1) from None
     rows: list[SegmentDescriptor] = []
-    with path.open("r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty manifest (missing header)", row=1) from None
+    if [h.strip().lower() for h in header] != MANIFEST_HEADER:
+        raise ParseError(f"expected header {','.join(MANIFEST_HEADER)}", row=1)
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 5:
+            raise ParseError(f"expected 5 columns, got {len(row)}", row=line_no)
+        wav_path, speaker_id, start_s, end_s, label_s = (c.strip() for c in row)
+        if not wav_path or not speaker_id:
+            raise ParseError("wav_path and speaker_id must be non-empty", row=line_no)
+        if "\0" in wav_path:
+            raise ParseError("wav_path contains a NUL character", row=line_no)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty manifest (missing header)", row=1) from None
-        if [h.strip().lower() for h in header] != MANIFEST_HEADER:
-            raise ParseError(f"expected header {','.join(MANIFEST_HEADER)}", row=1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 5:
-                raise ParseError(f"expected 5 columns, got {len(row)}", row=line_no)
-            wav_path, speaker_id, start_s, end_s, label_s = (c.strip() for c in row)
-            if not wav_path or not speaker_id:
-                raise ParseError("wav_path and speaker_id must be non-empty", row=line_no)
-            try:
-                start_ms, end_ms = int(start_s), int(end_s)
-            except ValueError:
-                raise ParseError(f"start_ms/end_ms must be integers, got {start_s!r}/{end_s!r}",
-                                 row=line_no) from None
-            if start_ms < 0 or end_ms <= start_ms:
-                raise ParseError(f"invalid span [{start_ms}, {end_ms})", row=line_no)
-            try:
-                label = Label(label_s.lower())
-            except ValueError:
-                raise ParseError(f"unknown label {label_s!r} (expected confirmation/other)",
-                                 row=line_no) from None
-            rows.append(SegmentDescriptor(wav_path, speaker_id, start_ms, end_ms, label))
+            start_ms, end_ms = int(start_s), int(end_s)
+        except ValueError:
+            raise ParseError(f"start_ms/end_ms must be integers, got {start_s!r}/{end_s!r}",
+                             row=line_no) from None
+        if start_ms < 0 or end_ms <= start_ms:
+            raise ParseError(f"invalid span [{start_ms}, {end_ms})", row=line_no)
+        try:
+            label = Label(label_s.lower())
+        except ValueError:
+            raise ParseError(f"unknown label {label_s!r} (expected confirmation/other)",
+                             row=line_no) from None
+        rows.append(SegmentDescriptor(wav_path, speaker_id, start_ms, end_ms, label))
     return rows
 
 

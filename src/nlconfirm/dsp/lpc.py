@@ -26,6 +26,8 @@ FORMANT_MAX_BANDWIDTH_HZ = 400.0
 
 ROOT_RESIDUAL_TOL = 1e-6
 
+_TINY = float(np.finfo(np.float64).tiny)  # smallest normal float
+
 
 @dataclass(frozen=True)
 class LpcResult:
@@ -53,7 +55,9 @@ def lpc(windowed: np.ndarray, order: int = LPC_ORDER) -> LpcResult:
     The order + 1 autocorrelation lags are one product of the frame with a
     strided (n, order + 1) view of its zero-padded copy; the recursion then
     runs on Python floats, which beats numpy calls at order 12. Raises
-    DegenerateFrame for a zero-energy frame. A tiny noise floor (1e-9
+    DegenerateFrame for a frame whose energy r[0] is below the smallest
+    normal float: zero, or so small that every lag is subnormal and the
+    coefficients would depend on rounding alone. A tiny noise floor (1e-9
     relative) keeps the recursion stable on nearly-perfectly predictable
     input; if the residual energy still collapses, the remaining
     reflection coefficients are treated as zero.
@@ -67,8 +71,8 @@ def lpc(windowed: np.ndarray, order: int = LPC_ORDER) -> LpcResult:
     step = padded.itemsize
     lagged = np.ndarray((n, order + 1), np.float64, padded, 0, (step, step))
     r = (x @ lagged).tolist()   # r[k] = sum_i x[i] x[i + k]
-    if r[0] <= 0.0:
-        raise DegenerateFrame("zero-energy frame")
+    if r[0] < _TINY:
+        raise DegenerateFrame("zero or subnormal frame energy")
     r[0] *= 1.0 + 1e-9
     a = [1.0] + [0.0] * order
     err = r[0]

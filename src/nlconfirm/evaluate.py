@@ -126,9 +126,6 @@ def speaker_frames(
             _, rows = extract_matrix(frames, config, stats)
             blocks.append(rows)
             labels.append(np.full(len(rows), label_sign(seg.label)))
-            if stats is not None:
-                stats.count("frames", len(frames))
-                stats.count("vectors", len(rows))
             if seg.label is Label.CONFIRMATION:
                 confirmations += 1
         if not blocks:

@@ -6,15 +6,16 @@ blocks, 15-frame stacked MFCCs, the standard deviation of each formant
 over 15 frames, 15-frame stacked formants, plain pitch and 15-frame
 stacked pitch.
 
-Extraction is block-based, through one path: StreamingExtractor.push_block
-consumes the next frames of a segment and returns the rows of the vectors
-that became complete, and a push of one frame is a block of one. Offline
-callers (`extract_matrix`, `extract`, training, `evaluate`, `classify`)
-hand over whole segments, and MFCCs of a block come from one batched
-`mfcc` call; the online mode pushes frame by frame. Any partition of a
-segment into blocks gives bit-identical vectors, so offline and online
-paths agree. Stacks are causal (a vector emitted at frame t covers frames
-t-14 .. t). The derivative set is the one look-ahead consumer: frame t
+Extraction is block-based, through one path with one output shape,
+`(indices, rows)`: the frame indices and rows of the vectors that became
+complete. StreamingExtractor.push_block consumes the next frames of a
+segment, a push of one frame is a block of one, and `finish` flushes the
+tail. Offline callers (`extract_matrix`, `extract`, training, `evaluate`,
+`classify`) hand over whole segments, and MFCCs of a block come from one
+batched `mfcc` call; the online mode pushes frame by frame. Any partition
+of a segment into blocks gives bit-identical vectors, so offline and
+online paths agree. Stacks are causal (a vector emitted at frame t covers
+frames t-14 .. t). The derivative set is the one look-ahead consumer: frame t
 needs MFCCs up to t+3, so its vectors trail the stream by three frames and
 the tail is flushed with edge replication when the segment ends.
 
@@ -125,11 +126,6 @@ class FeatureVector:
     config: FeatureSetConfig
 
 
-def dimension(config: FeatureSetConfig | FeatureKind) -> int:
-    kind = config.kind if isinstance(config, FeatureSetConfig) else config
-    return _DIMENSIONS[kind]
-
-
 def window_kind_for(config: FeatureSetConfig | FeatureKind) -> WindowKind:
     """MFCC-family sets use Blackman-Harris; formant and pitch sets use Hann."""
     kind = config.kind if isinstance(config, FeatureSetConfig) else config
@@ -146,20 +142,12 @@ def required_context(config: FeatureSetConfig | FeatureKind) -> int:
     return 1
 
 
-def emitted_count(config: FeatureSetConfig | FeatureKind, n_frames: int) -> int:
-    """Vectors emitted for n_frames input frames (tail flush included)."""
-    kind = config.kind if isinstance(config, FeatureSetConfig) else config
-    if kind in _STACKED_KINDS:
-        return max(0, n_frames - STACK_DEPTH + 1)
-    return n_frames
-
-
 def _formant_pair(windowed: np.ndarray, stats: Stats | None = None) -> np.ndarray:
     """(F1, F2) of one windowed frame.
 
     A frame that cannot give formants yields the zero pair (both formants
-    absent) instead of aborting the stream: a zero-energy frame
-    (DegenerateFrame) or one whose LPC roots miss the residual bound
+    absent) instead of aborting the stream: a frame of zero or subnormal
+    energy (DegenerateFrame) or one whose LPC roots miss the residual bound
     (NumericalFailure). `stats`, if given, counts zero pairs by cause:
     formant_silent, formant_root_failures, and formant_no_candidate when
     no root survives the formant filters.
@@ -217,11 +205,12 @@ class StreamingExtractor:
     """Incremental feature extraction for one frame stream.
 
     One instance per audio stream; not shareable while a segment is in
-    flight. `push_block` consumes the next frames of the segment and
-    returns the frame indices and rows of the vectors that became
-    complete; `push` is a block of one frame. `finish` flushes look-ahead
-    consumers at segment end, `reset` prepares for the next segment. Any
-    partition of a segment into blocks gives the same vectors, bit for bit.
+    flight. `push_block` consumes the next frames of the segment, `push`
+    is a block of one frame and `finish` flushes look-ahead consumers at
+    segment end; all three return `(indices, rows)`, the frame indices and
+    rows of the vectors that became complete. `reset` prepares for the
+    next segment. Any partition of a segment into blocks gives the same
+    vectors, bit for bit.
 
     Only the last STACK_DEPTH base vectors are kept, in a contiguous
     buffer, plus a count of frames pushed since `reset`: memory and
@@ -246,10 +235,6 @@ class StreamingExtractor:
     def reset(self) -> None:
         self._end = 0
         self._count = 0
-
-    @property
-    def frames_consumed(self) -> int:
-        return self._count
 
     def _base_vector(self, windowed: np.ndarray) -> np.ndarray:
         """Base vector (MFCCs, formant pair or pitch) of one windowed frame."""
@@ -318,12 +303,11 @@ class StreamingExtractor:
             return range(first, stop), _delta_rows(series, offset, first, stop, n)
         return range(first, stop), _stack_rows(kind, series, offset, first, n)
 
-    def push(self, frame: Frame) -> list[FeatureVector]:
+    def push(self, frame: Frame) -> tuple[range, np.ndarray]:
         """Consume one frame: a block of one, which completes at most one vector."""
-        indices, rows = self.push_block((frame,))
-        return [FeatureVector(rows[0], indices[0], self.config)] if indices else []
+        return self.push_block((frame,))
 
-    def finish_block(self) -> tuple[range, np.ndarray]:
+    def finish(self) -> tuple[range, np.ndarray]:
         """Flush the derivative set's trailing frames (edge replication)."""
         n = self._count
         if self.config.kind is not FeatureKind.MFCC_DELTA or n < required_context(self.config):
@@ -332,10 +316,6 @@ class StreamingExtractor:
         series = self._history[self._end - held: self._end]
         first = max(0, n - DELTA_LAG)
         return range(first, n), _delta_rows(series, n - held, first, n, n)
-
-    def finish(self) -> list[FeatureVector]:
-        """`finish_block` as feature vectors."""
-        return _vectors(*self.finish_block(), self.config)
 
     def _nothing(self) -> tuple[range, np.ndarray]:
         return range(0), np.empty((0, self.config.raw_dimension))
@@ -348,7 +328,7 @@ def extract_matrix(frames: Sequence[Frame], config: FeatureSetConfig,
     Context-bearing kinds emit N - 14 vectors for N frames; the derivative
     set and the plain kinds emit N. Raises SegmentTooShort when the stream
     is shorter than the kind's required context; its message names the
-    segment. `stats`, if given, receives the formant zero-pair counters.
+    segment. `stats`, if given, counts frames, vectors and formant zero pairs.
     """
     if len(frames) < required_context(config):
         ref = frames[0].segment_ref if frames else "(no frames)"
@@ -358,19 +338,19 @@ def extract_matrix(frames: Sequence[Frame], config: FeatureSetConfig,
         )
     extractor = StreamingExtractor(config, stats)
     indices, rows = extractor.push_block(frames)
-    tail, tail_rows = extractor.finish_block()
+    tail, tail_rows = extractor.finish()
     if tail:
-        return range(indices.start, tail.stop), np.concatenate((rows, tail_rows))
+        indices, rows = range(indices.start, tail.stop), np.concatenate((rows, tail_rows))
+    if stats is not None:
+        stats.count("frames", len(frames))
+        stats.count("vectors", len(rows))
     return indices, rows
-
-
-def _vectors(indices: range, rows: np.ndarray, config: FeatureSetConfig) -> list[FeatureVector]:
-    return [FeatureVector(row, t, config) for t, row in zip(indices, rows)]
 
 
 def extract(frames: list[Frame], config: FeatureSetConfig) -> list[FeatureVector]:
     """`extract_matrix` as feature vectors."""
-    return _vectors(*extract_matrix(frames, config), config)
+    indices, rows = extract_matrix(frames, config)
+    return [FeatureVector(row, t, config) for t, row in zip(indices, rows)]
 
 
 def feature_matrix(vectors: list[FeatureVector]) -> np.ndarray:

@@ -38,7 +38,6 @@ class ModelBundle:
     normalizer: NormalizerStats
     pca: PcaTransform | None
     svm: SvmModel
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         raw = self.feature_config.raw_dimension
@@ -71,7 +70,7 @@ class ModelBundle:
 
     def to_debug_dict(self) -> dict:
         out = {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "feature_config": self.feature_config.to_dict(),
             "hyperparams": self.hyperparams.to_dict(),
             "normalizer": {
@@ -159,7 +158,7 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
         ))
     blob = bytearray()
     blob += MAGIC
-    blob += struct.pack("<I", bundle.format_version)
+    blob += struct.pack("<I", FORMAT_VERSION)
     blob += struct.pack("<I", len(sections))
     for name, payload in sections:
         encoded = name.encode()
@@ -271,7 +270,6 @@ def load_model(path: str | Path) -> ModelBundle:
             normalizer=normalizer,
             pca=pca,
             svm=svm,
-            format_version=version,
         )
     except DimensionMismatch as exc:
         raise CorruptModel(f"inconsistent model content: {exc}") from exc

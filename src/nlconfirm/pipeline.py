@@ -8,8 +8,9 @@ majority threshold. Offline classification (`classify_offline`, used by
 (`extract_matrix`), scores them one by one and replays the vote rule over
 the scores (`decision_from_scores`). The online mode (`listen`) streams
 frame by frame through `OnlineClassifier`, voting as each vector
-completes. Extraction gives the same vectors however a segment is split
-into blocks, so the two modes agree bit for bit.
+completes. Both read the extractor's one output shape, `(indices, rows)`,
+and extraction gives the same rows however a segment is split into
+blocks, so the two modes agree bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class TriggerEvent:
     segment_ref: str
     frame_index: int      # index of the frame whose vote latched the segment
     rolling_mean: float
-    time_ms: float | None = None
 
 
 @dataclass
@@ -81,17 +81,13 @@ class SegmentDecision:
         """Index of the frame whose vote latched the segment."""
         return None if self.trigger is None else self.trigger.frame_index
 
-    @property
-    def predictions(self) -> np.ndarray:
-        """Frame-level +1/-1 predictions (sign of the decision values)."""
-        return np.where(self.frame_scores > 0.0, 1, -1)
-
 
 class OnlineClassifier:
     """Streaming classifier for one frame stream.
 
-    Not shareable between threads mid-stream; the model bundle itself is
-    immutable and may back any number of concurrent classifiers.
+    Every `(index, row)` the extractor completes is scored and voted at
+    once. Not shareable between threads mid-stream; the model bundle
+    itself is immutable and may back any number of concurrent classifiers.
     """
 
     def __init__(self, bundle: ModelBundle, majority_threshold: float = 0.0,
@@ -112,10 +108,10 @@ class OnlineClassifier:
         self._indices = []
         self._scores = []
 
-    def _score_vectors(self, indexed_rows) -> TriggerEvent | None:
-        """Score and vote (frame index, feature vector) pairs in frame order."""
+    def _score_rows(self, indices: range, rows: np.ndarray) -> TriggerEvent | None:
+        """Score and vote the extractor's completed rows in frame order."""
         trigger = None
-        for frame_index, values in indexed_rows:
+        for frame_index, values in zip(indices, rows):
             score = self.bundle.decide(values)
             self._indices.append(frame_index)
             self._scores.append(score)
@@ -131,11 +127,11 @@ class OnlineClassifier:
         """
         if self._segment_ref is None:
             self._segment_ref = frame.segment_ref
-        return self._score_vectors((v.frame_index, v.values) for v in self._extractor.push(frame))
+        return self._score_rows(*self._extractor.push(frame))
 
     def finish_segment(self) -> TriggerEvent | None:
         """Flush look-ahead features at segment end (may still latch)."""
-        return self._score_vectors((v.frame_index, v.values) for v in self._extractor.finish())
+        return self._score_rows(*self._extractor.finish())
 
     def decision(self) -> SegmentDecision:
         """Decision for the segment streamed so far (call after finish_segment)."""
@@ -180,14 +176,10 @@ def classify_offline(
     """
     decisions = []
     for segment in segments:
-        frames = frame_stream(segment)
-        indices, rows = extract_matrix(frames, bundle.feature_config, stats)
+        indices, rows = extract_matrix(frame_stream(segment), bundle.feature_config, stats)
         scores = [bundle.decide(row) for row in rows]
         decisions.append(decision_from_scores(segment.segment_id, indices, scores,
                                               majority_threshold))
-        if stats is not None:
-            stats.count("frames", len(frames))
-            stats.count("vectors", len(scores))
     return decisions
 
 

@@ -5,8 +5,8 @@ there is no global registry. `RunContext.finish` writes both tables into
 `run_metadata.json`. Stages used: load, extract, search, fit, classify.
 Counters used: frames (pushed through feature extraction), vectors
 (feature vectors produced) and, for the formant feature sets, the frames
-whose formant pair is zero-filled, by cause: formant_silent (zero-energy
-frame), formant_root_failures (LPC roots miss the residual bound) and
+whose formant pair is zero-filled, by cause: formant_silent (frame energy
+zero or subnormal), formant_root_failures (LPC roots miss the residual bound) and
 formant_no_candidate (no root survives the frequency and bandwidth
 filters).
 """

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 import nlconfirm
 from nlconfirm import cli
 from nlconfirm.cli import main
-from nlconfirm.corpus import frame_stream, load_segments, parse_manifest
+from nlconfirm.corpus import AudioBuffer, frame_stream, load_segments, parse_manifest, write_wav
 from nlconfirm.dsp import (
     WindowKind,
     apply_window,
@@ -213,6 +214,7 @@ def test_exit_code_numeric_flag_out_of_range(corpus_dir, model_dir, tmp_path, co
 @pytest.mark.parametrize("command, flags", [
     ("grid-search", ("--svm-c", "5")),  # the search never read the --svm-* flags
     ("evaluate", ("--pca-epsilon", "0.9")),  # PCA keeps a fixed 95 % of the variance
+    ("train", ("--model-name", "m.nlcm")),  # the model is always model.nlcm
 ])
 def test_removed_flags_rejected(corpus_dir, tmp_path, command, flags):
     with pytest.raises(SystemExit) as exc:
@@ -313,6 +315,31 @@ def test_config_file_defaults_and_override(corpus_dir, tmp_path):
     assert meta["config"]["seed"] == 9  # file fills the unset default
 
 
+def test_flag_at_its_default_beats_config_file(corpus_dir, tmp_path):
+    # --seed 0 is also the parser default; given on the command line it still wins
+    config = tmp_path / "run.conf"
+    config.write_text("seed = 9\n")
+    out = tmp_path / "feats"
+    assert run("extract", "--manifest", corpus_dir / "manifest.csv", "--features", "pitch",
+               "--seed", 0, "--config", config, "--out", out) == 0
+    assert json.loads((out / "run_metadata.json").read_text())["config"]["seed"] == 0
+
+
+def test_config_file_not_utf8(corpus_dir, tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_bytes(b"seed = 9\nfeatures = \xff\n")
+    assert run("extract", "--manifest", corpus_dir / "manifest.csv", "--features", "pitch",
+               "--config", config, "--out", tmp_path / "o") == 2
+    assert "run.conf:2: not UTF-8" in capsys.readouterr().err
+
+
+def test_config_key_model_name_rejected(corpus_dir, tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_text("model_name = m.nlcm\n")
+    assert run("train", "--manifest", corpus_dir / "manifest.csv", "--features", "mfcc",
+               *FAST_SVM, "--config", config, "--out", tmp_path / "o") == 2
+
+
 def test_config_file_unknown_key(corpus_dir, tmp_path):
     config = tmp_path / "run.conf"
     config.write_text("armchair = 3\n")
@@ -341,6 +368,31 @@ def test_evaluate_with_test_manifest_and_segment_roc(corpus_dir, tmp_path):
 def test_exit_code_directory_as_manifest(tmp_path):
     # IsADirectoryError (an OSError, not a FileNotFoundError) is a data error too
     assert run("evaluate", "--manifest", tmp_path, "--features", "mfcc",
+               "--out", tmp_path / "o") == 3
+
+
+@pytest.mark.parametrize("row, message", [
+    (b"{wav},spk00\xff,316,816,other", "row 2: not UTF-8"),
+    (b"{wav}\x00,spk00,316,816,other", "row 2: wav_path contains a NUL"),
+])
+def test_classify_unreadable_manifest_row_exits_3(corpus_dir, model_dir, tmp_path, capsys,
+                                                  row, message):
+    manifest = tmp_path / "bad.csv"
+    wav = str(corpus_dir / "wavs" / "spk00.wav").encode()
+    manifest.write_bytes(b"wav_path,speaker_id,start_ms,end_ms,label\n"
+                         + row.replace(b"{wav}", wav) + b"\n")
+    assert run("classify", "--manifest", manifest, "--model", model_dir / "model.nlcm",
+               "--out", tmp_path / "o") == 3
+    assert message in capsys.readouterr().err
+
+
+def test_listen_fmt_chunk_past_the_end_exits_3(model_dir, tmp_path):
+    wav = tmp_path / "broken.wav"
+    write_wav(wav, AudioBuffer(np.zeros(16000)))
+    blob = bytearray(wav.read_bytes())
+    blob[16:20] = struct.pack("<I", 0x7FFFFFFF)  # the fmt chunk's size
+    wav.write_bytes(bytes(blob))
+    assert run("listen", "--wav", wav, "--model", model_dir / "model.nlcm",
                "--out", tmp_path / "o") == 3
 
 

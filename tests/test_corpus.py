@@ -95,6 +95,15 @@ class TestLoadWav:
         with pytest.raises(CorruptFile):
             load_wav(p)
 
+    def test_fmt_chunk_size_past_the_end(self, tmp_path):
+        p = tmp_path / "f.wav"
+        write_wav(p, AudioBuffer(sine(440, 0.1)))
+        blob = bytearray(p.read_bytes())
+        blob[16:20] = struct.pack("<I", 0x7FFFFFFF)  # the fmt chunk's size
+        p.write_bytes(bytes(blob))
+        with pytest.raises(CorruptFile, match="past the end"):
+            load_wav(p)
+
     def test_roundtrip_write_read(self, tmp_path):
         samples = sine(440, 0.1)
         p = tmp_path / "rt.wav"
@@ -121,6 +130,26 @@ class TestManifest:
         with pytest.raises(ParseError) as err:
             parse_manifest(p)
         assert err.value.row == 2
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"wav_path,speaker_id,start_ms,end_ms,label\n"
+                      b"a.wav,s,0,100,other\nb.wav,s\xff,0,100,other\n")
+        with pytest.raises(ParseError, match="not UTF-8") as err:
+            parse_manifest(p)
+        assert err.value.row == 3
+
+    def test_nul_in_wav_path(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"wav_path,speaker_id,start_ms,end_ms,label\na\x00.wav,s,0,100,other\n")
+        with pytest.raises(ParseError, match="NUL") as err:
+            parse_manifest(p)
+        assert err.value.row == 2
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"\xef\xbb\xbfwav_path,speaker_id,start_ms,end_ms,label\na.wav,s,0,100,other\n")
+        assert parse_manifest(p) == [SegmentDescriptor("a.wav", "s", 0, 100, Label.OTHER)]
 
     def test_empty_manifest(self, tmp_path):
         p = tmp_path / "m.csv"

@@ -33,8 +33,6 @@ from nlconfirm.featset import (
     FeatureKind,
     FeatureSetConfig,
     StreamingExtractor,
-    dimension,
-    emitted_count,
     extract,
     extract_matrix,
     feature_matrix,
@@ -67,13 +65,12 @@ def identical_frames(n: int, seed: int = 1) -> list[Frame]:
 
 class TestTable:
     def test_dimensions(self):
-        assert dimension(FeatureKind.MFCC) == 13
-        assert dimension(FeatureKind.MFCC_DELTA) == 39
-        assert dimension(FeatureKind.STACKED_MFCC) == 195
-        assert dimension(FeatureKind.FORMANT_SD) == 2
-        assert dimension(FeatureKind.STACKED_FORMANTS) == 30
-        assert dimension(FeatureKind.PITCH) == 1
-        assert dimension(FeatureKind.STACKED_PITCH) == 15
+        dimensions = {kind: FeatureSetConfig(kind).raw_dimension for kind in FeatureKind}
+        assert dimensions == {
+            FeatureKind.MFCC: 13, FeatureKind.MFCC_DELTA: 39, FeatureKind.STACKED_MFCC: 195,
+            FeatureKind.FORMANT_SD: 2, FeatureKind.STACKED_FORMANTS: 30,
+            FeatureKind.PITCH: 1, FeatureKind.STACKED_PITCH: 15,
+        }
 
     def test_window_mapping(self):
         assert window_kind_for(FeatureKind.MFCC) is WindowKind.BLACKMAN_HARRIS4
@@ -117,7 +114,7 @@ class TestExtraction:
     def test_emitted_count_law(self, kind, expected):
         vectors = extract(noise_frames(20), FeatureSetConfig(kind))
         assert len(vectors) == expected
-        assert emitted_count(kind, 20) == expected
+        assert [v.frame_index for v in vectors] == list(range(20 - expected, 20))
 
     def test_identical_frames_stacked_mfcc(self):
         frames = identical_frames(STACK_DEPTH)
@@ -192,8 +189,21 @@ class TestExtraction:
         frames = [Frame(np.zeros(FRAME_LEN), i, "seg") for i in range(STACK_DEPTH)]
         for kind in (FeatureKind.STACKED_FORMANTS, FeatureKind.STACKED_PITCH,
                      FeatureKind.FORMANT_SD):
-            vectors = extract(frames, FeatureSetConfig(kind))
-            assert np.array_equal(vectors[0].values, np.zeros(dimension(kind)))
+            config = FeatureSetConfig(kind)
+            vectors = extract(frames, config)
+            assert np.array_equal(vectors[0].values, np.zeros(config.raw_dimension))
+
+
+def stream(extractor: StreamingExtractor, frames) -> tuple[list[int], list[np.ndarray]]:
+    """Frame indices and rows of a segment pushed frame by frame, tail flushed."""
+    indices, rows = [], []
+    for frame in frames:
+        got, matrix = extractor.push(frame)
+        assert len(got) <= 1 and matrix.shape == (len(got), extractor.config.raw_dimension)
+        indices += got
+        rows += list(matrix)
+    got, matrix = extractor.finish()
+    return indices + list(got), rows + list(matrix)
 
 
 class TestStreaming:
@@ -202,15 +212,10 @@ class TestStreaming:
         config = FeatureSetConfig(kind)
         frames = noise_frames(24, seed=21)
         batch = extract(frames, config)
-        extractor = StreamingExtractor(config)
-        streamed = []
-        for frame in frames:
-            streamed.extend(extractor.push(frame))
-        streamed.extend(extractor.finish())
-        assert len(streamed) == len(batch)
-        for a, b in zip(streamed, batch):
-            assert a.frame_index == b.frame_index
-            assert np.array_equal(a.values, b.values)
+        indices, rows = stream(StreamingExtractor(config), frames)
+        assert indices == [v.frame_index for v in batch]
+        for row, vector in zip(rows, batch, strict=True):
+            assert np.array_equal(row, vector.values)
 
     def test_delta_emission_order_and_lag(self):
         config = FeatureSetConfig(FeatureKind.MFCC_DELTA)
@@ -218,24 +223,25 @@ class TestStreaming:
         extractor = StreamingExtractor(config)
         emitted = []
         for i, frame in enumerate(frames):
-            out = extractor.push(frame)
+            out, _ = extractor.push(frame)
             if i < 3:
-                assert out == []
-            emitted.extend(v.frame_index for v in out)
-        tail = [v.frame_index for v in extractor.finish()]
+                assert not out
+            emitted.extend(out)
+        tail, _ = extractor.finish()
         assert emitted == list(range(9))
-        assert tail == [9, 10, 11]
+        assert list(tail) == [9, 10, 11]
 
     def test_reset_clears_context(self):
         config = FeatureSetConfig(FeatureKind.STACKED_PITCH)
         extractor = StreamingExtractor(config)
         frames = noise_frames(STACK_DEPTH, seed=23)
         for frame in frames:
-            extractor.push(frame)
-        assert extractor.frames_consumed == STACK_DEPTH
+            last, _ = extractor.push(frame)
+        assert last == range(STACK_DEPTH - 1, STACK_DEPTH)  # STACK_DEPTH frames consumed
         extractor.reset()
-        assert extractor.frames_consumed == 0
-        assert extractor.push(frames[0]) == []  # context must refill
+        for frame in frames[:-1]:  # context must refill, counting from frame 0 again
+            assert not extractor.push(frame)[0]
+        assert extractor.push(frames[-1])[0] == range(STACK_DEPTH - 1, STACK_DEPTH)
 
     def test_feature_matrix_shape(self):
         vectors = extract(noise_frames(20, seed=24), FeatureSetConfig(FeatureKind.MFCC))
@@ -309,40 +315,40 @@ class TestRingOracle:
         for frame in voiced_frames(STACK_DEPTH + 8, seed=100):
             extractor.push(frame)
         extractor.reset()
-        streamed = [v for f in frames for v in extractor.push(f)] + extractor.finish()
-        for vector, reference in zip(streamed, expected, strict=True):
-            assert np.array_equal(vector.values, reference)
+        _, streamed = stream(extractor, frames)
+        for row, reference in zip(streamed, expected, strict=True):
+            assert np.array_equal(row, reference)
 
 
 class TestBoundedState:
     @staticmethod
-    def peak_kib(extractor: StreamingExtractor, frames) -> float:
-        """Peak traced Python heap while the extractor consumes a stream."""
+    def peak_kib(extractor: StreamingExtractor, frames) -> tuple[float, range]:
+        """Peak traced Python heap while the extractor consumes a stream, and its tail."""
         gc.collect()
         tracemalloc.start()
         try:
             for frame in frames:
                 extractor.push(frame)
-            extractor.finish()
+            tail, _ = extractor.finish()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak / 1024.0
+        return peak / 1024.0, tail
 
     def test_memory_flat_from_5_to_120_seconds(self):
         pool = [f.samples for f in noise_frames(64, seed=31)]
 
-        def stream(n: int):  # 10 ms per frame: 500 frames are 5 s
+        def pool_frames(n: int):  # 10 ms per frame: 500 frames are 5 s
             return (Frame(pool[i % len(pool)], i, "seg") for i in range(n))
 
         extractor = StreamingExtractor(FeatureSetConfig(FeatureKind.MFCC_DELTA))
-        short = self.peak_kib(extractor, stream(500))
-        assert extractor.frames_consumed == 500
+        short, tail = self.peak_kib(extractor, pool_frames(500))
+        assert tail == range(497, 500)  # the flush trails the 500th frame by three
         extractor.reset()
-        long = self.peak_kib(extractor, stream(12_000))
-        assert extractor.frames_consumed == 12_000
+        long, tail = self.peak_kib(extractor, pool_frames(12_000))
+        assert tail == range(11_997, 12_000)
         extractor.reset()
-        assert extractor.frames_consumed == 0
+        assert not extractor.finish()[0]  # nothing left to flush
         assert long <= 1.5 * short, f"peak {long:.1f} KiB at 120 s vs {short:.1f} KiB at 5 s"
 
 
@@ -366,7 +372,7 @@ def _push_blocks(extractor: StreamingExtractor, blocks) -> tuple[list[int], list
         assert matrix.shape == (len(got), extractor.config.raw_dimension)
         indices += got
         rows += list(matrix)
-    got, matrix = extractor.finish_block()
+    got, matrix = extractor.finish()
     return indices + list(got), rows + list(matrix)
 
 
@@ -384,9 +390,7 @@ class TestBlockPartition:
         if n >= required_context(kind):
             expected = [(v.frame_index, v.values) for v in extract(frames, config)]
         else:  # too short for extract: the online mode still streams what it can
-            streamed = StreamingExtractor(config)
-            expected = [(v.frame_index, v.values)
-                        for v in [u for f in frames for u in streamed.push(f)] + streamed.finish()]
+            expected = list(zip(*stream(StreamingExtractor(config), frames)))
         extractor = StreamingExtractor(config)
         for reused in (False, True):
             if reused:  # a half-pushed segment, then reset: the context must not leak
@@ -401,14 +405,12 @@ class TestBlockPartition:
     @pytest.mark.parametrize("kind", list(FeatureKind))
     def test_push_is_a_block_of_one(self, kind):
         config = FeatureSetConfig(kind)
-        by_push, by_block = StreamingExtractor(config), StreamingExtractor(config)
-        for frame in voiced_frames(2 * STACK_DEPTH + 5, seed=41):  # past the history wrap
-            pushed = by_push.push(frame)
-            indices, rows = by_block.push_block([frame])
-            assert [v.frame_index for v in pushed] == list(indices)
-            for vector, row in zip(pushed, rows, strict=True):
-                assert np.array_equal(vector.values, row)
-        assert [v.frame_index for v in by_push.finish()] == list(by_block.finish_block()[0])
+        frames = voiced_frames(2 * STACK_DEPTH + 5, seed=41)  # past the history wrap
+        pushed = stream(StreamingExtractor(config), frames)
+        blocked = _push_blocks(StreamingExtractor(config), [frames])
+        assert pushed[0] == blocked[0]
+        for a, b in zip(pushed[1], blocked[1], strict=True):
+            assert np.array_equal(a, b)
 
     def test_extract_matrix_matches_extract(self):
         frames = voiced_frames(30, seed=5)
@@ -421,7 +423,8 @@ class TestBlockPartition:
         extractor = StreamingExtractor(FeatureSetConfig(FeatureKind.STACKED_MFCC))
         indices, rows = extractor.push_block([])
         assert len(indices) == 0 and rows.shape == (0, 195)
-        assert extractor.frames_consumed == 0
+        indices, _ = extractor.push_block(noise_frames(STACK_DEPTH))
+        assert indices == range(STACK_DEPTH - 1, STACK_DEPTH)  # the empty block consumed nothing
 
 
 class TestFormantCounters:

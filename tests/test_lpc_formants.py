@@ -24,6 +24,7 @@ from nlconfirm.synth import SynthConfig, _confirmation_token
 from .conftest import resonator_signal
 
 FS = 16000
+TINY = float(np.finfo(np.float64).tiny)  # smallest normal float
 
 
 class TestLpc:
@@ -358,31 +359,41 @@ class TestLpcOracle:
            st.floats(0.0, 2 * np.pi), st.booleans())
     def test_collapsed_residual_stops_the_recursion(self, n, log_amplitude, omega, phase, hann):
         # The 1e-9 floor keeps err >= 1e-9 r[0] at normal scale, so only frames
-        # whose lags are subnormal (where the floor rounds away) reach err <= 0.
+        # whose lags are subnormal (where the floor rounds away) reach err <= 0
+        # in the reference. lpc reports every such frame as silent instead of
+        # fitting coefficients to rounding; frames of normal energy still fit.
         frame = 10.0 ** log_amplitude * np.sin(omega * np.arange(n) + phase)
         if hann:
             frame *= make_window(WindowKind.HANN, n).coefficients
-        try:
-            _, _, stage = _reference_lpc(frame)
-        except DegenerateFrame:
+        energy = float(np.dot(frame, frame))  # r[0], up to a few subnormal units
+        if energy < TINY * (1 - 1e-6):
             with pytest.raises(DegenerateFrame):
                 lpc(frame)
-            return
-        got = lpc(frame)
-        assert np.isfinite(got.coefficients).all()
-        if stage is not None:
-            # lags of a few subnormal units: the other summation order may leave
-            # a few units of residual energy instead of exactly none
-            assert 0.0 <= got.gain <= 8 * np.nextafter(0.0, 1.0)
+        elif energy > TINY * (1 + 1e-6):
+            got = lpc(frame)
+            assert np.isfinite(got.coefficients).all() and got.gain > 0.0
 
     def test_early_stop_on_an_exact_frame(self):
-        # 5 * 2 cos(pi t / 3) on the subnormal grid: every lag and product is exact
+        # 5 * 2 cos(pi t / 3) on the subnormal grid: every lag and product is
+        # exact and the reference stops early with zero residual energy. All
+        # its lags are subnormal, so lpc reports it as silent.
         frame = np.ldexp(5.0 * np.resize([2.0, 1.0, -1.0, -2.0, -1.0, 1.0], 20), -540)
-        want, want_gain, stage = _reference_lpc(frame)
-        assert stage is not None
-        got = lpc(frame)
-        assert got.coefficients.tobytes() == want.tobytes()
-        assert got.gain == want_gain == 0.0
+        _, want_gain, stage = _reference_lpc(frame)
+        assert stage is not None and want_gain == 0.0
+        with pytest.raises(DegenerateFrame):
+            lpc(frame)
+
+    def test_subnormal_energy_is_silent_at_the_boundary(self):
+        # a Hann sinusoid scaled so that r[0] sits just below, then just above,
+        # the smallest normal float
+        shape = np.sin(0.3 * np.arange(400)) * make_window(WindowKind.HANN, 400).coefficients
+        boundary = np.sqrt(TINY / np.dot(shape, shape))
+        with pytest.raises(DegenerateFrame):
+            lpc(boundary * (1 - 1e-6) * shape)
+        got = lpc(boundary * (1 + 1e-6) * shape)
+        assert np.isfinite(got.coefficients).all() and got.gain > 0.0
+        with pytest.raises(DegenerateFrame):  # fitted with gain 0.0 before
+            lpc(1e-160 * shape)
 
     @pytest.mark.parametrize("frame", [np.zeros(400), np.full(400, 1e-170)])
     def test_silent_frames(self, frame):
