@@ -215,7 +215,8 @@ def parse_manifest(path: str | Path) -> list[SegmentDescriptor]:
 
     Expected header: ``wav_path,speaker_id,start_ms,end_ms,label`` with
     label in {confirmation, other} (case-insensitive). Row numbers in
-    errors are 1-based file line numbers (header is line 1). A byte that is
+    errors are 1-based file line numbers (header is line 1); a record whose
+    quoted field spans lines is numbered by its last line. A byte that is
     not UTF-8 and a NUL in wav_path are ParseErrors too.
     """
     path = Path(path)
@@ -233,7 +234,8 @@ def parse_manifest(path: str | Path) -> list[SegmentDescriptor]:
         raise ParseError("empty manifest (missing header)", row=1) from None
     if [h.strip().lower() for h in header] != MANIFEST_HEADER:
         raise ParseError(f"expected header {','.join(MANIFEST_HEADER)}", row=1)
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
+        line_no = reader.line_num
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != 5:

@@ -14,7 +14,10 @@ speaker's frames unbalanced. The chain and the squared-distance matrix
 do not depend on the SVM parameters, so each fold builds them once, takes
 one RBF kernel per gamma and one SMO run per (C, gamma), which yields the
 models of every eps (`smo_path`). Every model is bit for bit the one
-`fit_bundle` trains for its point.
+`fit_bundle` trains for its point. Scoring works on blocks too: the
+held-out rows are projected once per fold, and each gamma takes one
+kernel against the union of its models' support rows. Those values match
+`decide_many` up to the low bits, and fold accuracy counts signs only.
 """
 
 from __future__ import annotations
@@ -148,8 +151,11 @@ def _fold_seed(seed: int, speaker_id: str) -> int:
 
 def _grid_bundles(
     chain: FitChain, config: FeatureSetConfig, grid: Sequence[SvmHyperParams]
-) -> list[ModelBundle]:
-    """One model per grid point from one distance matrix and one SMO run per (C, gamma)."""
+) -> tuple[list[ModelBundle], list[np.ndarray]]:
+    """One model per grid point from one distance matrix and one SMO run per (C, gamma).
+
+    Also returns each model's support mask (alpha > 0) over the chain's rows.
+    """
     x = np.asarray(chain.vectors, dtype=np.float64)  # as train_svm takes them
     y = np.asarray(chain.labels, dtype=np.float64)
     runs: dict[float, dict[float, list[int]]] = {}
@@ -158,6 +164,7 @@ def _grid_bundles(
     d2 = squared_distances(x, x)
     kernel = np.empty_like(d2)
     svms: list[SvmModel | None] = [None] * len(grid)
+    supports: list[np.ndarray | None] = [None] * len(grid)
     for gamma, by_c in runs.items():
         np.multiply(d2, -gamma, out=kernel)  # the bits of rbf_kernel(x, x, gamma)
         np.exp(kernel, out=kernel)
@@ -165,8 +172,10 @@ def _grid_bundles(
             snapshots = smo_path(kernel, y, C, [grid[k].eps for k in indices])
             for k, (alpha, bias, _) in zip(indices, snapshots):
                 svms[k] = support_model(x, y, alpha, bias, gamma)
-    return [ModelBundle(feature_config=config, hyperparams=params, normalizer=chain.normalizer,
-                        pca=chain.pca, svm=svm) for params, svm in zip(grid, svms)]
+                supports[k] = alpha > 0.0
+    bundles = [ModelBundle(feature_config=config, hyperparams=params, normalizer=chain.normalizer,
+                           pca=chain.pca, svm=svm) for params, svm in zip(grid, svms)]
+    return bundles, supports
 
 
 def run_louo_folds(
@@ -179,10 +188,13 @@ def run_louo_folds(
     """One fold per speaker: fit every point on the rest, score the speaker unbalanced.
 
     Returns each point's folds, in the order of `points`. A fold runs
-    `fit_chain` once and builds all its models before the distance matrix
-    and kernel are dropped and the held-out speaker is scored. Fold
-    accuracy counts signs only, so the held-out frames are scored in one
-    batch (`decide_many`).
+    `fit_chain` once and builds all its models before the training
+    distance matrix and kernel are dropped. The fold's models share one
+    normalizer and PCA, so the held-out rows are projected once. Per
+    gamma, one kernel between them and the union of that gamma's support
+    rows gives every model's values as a column subset times its signed
+    alphas. These differ from `decide_many` in the low bits only (the
+    BLAS sums run over other column sets); fold accuracy counts signs.
     """
     if len(speakers) < 2:
         raise MissingClass("leave-one-user-out needs at least two speakers")
@@ -190,15 +202,24 @@ def run_louo_folds(
     for held_out in speakers:
         rest = [s for s in speakers if s.speaker_id != held_out.speaker_id]
         chain = fit_chain(rest, config, seed=_fold_seed(seed, held_out.speaker_id))
-        bundles = _grid_bundles(chain, config, points)
-        for folds, bundle in zip(results, bundles):
-            predicted = np.where(bundle.decide_many(held_out.vectors) > 0.0, 1.0, -1.0)
-            folds.append(FoldResult(
-                speaker_id=held_out.speaker_id,
-                accuracy=float(np.mean(predicted == held_out.labels)),
-                weight=held_out.weight,
-                n_test=held_out.labels.size,
-            ))
+        bundles, supports = _grid_bundles(chain, config, points)
+        z = bundles[0].project(held_out.vectors)
+        for gamma in dict.fromkeys(p.gamma for p in points):
+            members = [k for k, p in enumerate(points) if p.gamma == gamma]
+            union = np.logical_or.reduce([supports[k] for k in members])
+            kernel = squared_distances(z, chain.vectors[union])
+            kernel *= -gamma
+            np.exp(kernel, out=kernel)
+            for k in members:
+                svm = bundles[k].svm
+                values = kernel[:, np.flatnonzero(supports[k][union])] @ svm.alphas_signed
+                predicted = np.where(values + svm.bias > 0.0, 1.0, -1.0)
+                results[k].append(FoldResult(
+                    speaker_id=held_out.speaker_id,
+                    accuracy=float(np.mean(predicted == held_out.labels)),
+                    weight=held_out.weight,
+                    n_test=held_out.labels.size,
+                ))
     return results
 
 

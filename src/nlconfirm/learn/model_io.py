@@ -65,8 +65,16 @@ class ModelBundle:
         return decision_value(self.svm, self.project(x))
 
     def decide_many(self, x: np.ndarray) -> np.ndarray:
-        """Decision values for an (n, raw_dim) matrix of raw feature vectors."""
-        return decision_values(self.svm, self.project(np.atleast_2d(x)))
+        """Decision values for an (n, raw_dim) matrix of raw feature vectors.
+
+        Bitwise equal row by row to `decide`: each row is PCA-projected by
+        its own vector-matrix product, as `decide` projects it, not by one
+        matrix product over the batch.
+        """
+        z = self.normalizer.transform(np.atleast_2d(x))
+        if self.pca is not None:
+            z = np.matmul((z - self.pca.mean)[:, None, :], self.pca.basis.T)[:, 0]
+        return decision_values(self.svm, z)
 
     def to_debug_dict(self) -> dict:
         out = {

@@ -1,16 +1,17 @@
 """Offline and streaming classification.
 
-Every frame score is one `ModelBundle.decide` call on one feature vector,
-the score's sign becomes a +1/-1 vote, and a segment latches as a
-confirmation the first time the mean of the last five votes exceeds the
-majority threshold. Offline classification (`classify_offline`, used by
-`classify` and `evaluate`) extracts each segment's rows in one block
-(`extract_matrix`), scores them one by one and replays the vote rule over
-the scores (`decision_from_scores`). The online mode (`listen`) streams
-frame by frame through `OnlineClassifier`, voting as each vector
-completes. Both read the extractor's one output shape, `(indices, rows)`,
-and extraction gives the same rows however a segment is split into
-blocks, so the two modes agree bit for bit.
+Every feature vector gets one SVM decision value, the score's sign
+becomes a +1/-1 vote, and a segment latches as a confirmation the first
+time the mean of the last five votes exceeds the majority threshold.
+Offline classification (`classify_offline`, used by `classify` and
+`evaluate`) extracts each segment's rows in one block (`extract_matrix`),
+scores them in one `ModelBundle.decide_many` call and replays the vote
+rule over the scores (`decision_from_scores`). The online mode (`listen`)
+streams frame by frame through `OnlineClassifier`, scoring each vector
+with `ModelBundle.decide` as it completes. Both read the extractor's one
+output shape, `(indices, rows)`; extraction gives the same rows however a
+segment is split into blocks, and `decide_many` gives each row the bits
+`decide` gives it, so the two modes agree bit for bit.
 """
 
 from __future__ import annotations
@@ -168,16 +169,16 @@ def classify_offline(
 ) -> list[SegmentDecision]:
     """Per-frame scores and vote-latched decisions for annotated segments.
 
-    Each segment's rows are extracted in one block and scored one `decide`
-    call at a time, which gives the streamed scores bit for bit; the vote
-    rule is then replayed over them. Segments shorter than the feature
+    Each segment's rows are extracted in one block and scored in one
+    `decide_many` call, which gives the streamed scores bit for bit; the
+    vote rule is then replayed over them. Segments shorter than the feature
     set's required context propagate SegmentTooShort. `stats`, if given,
     counts frames, vectors and formant zero pairs.
     """
     decisions = []
     for segment in segments:
         indices, rows = extract_matrix(frame_stream(segment), bundle.feature_config, stats)
-        scores = [bundle.decide(row) for row in rows]
+        scores = bundle.decide_many(rows)
         decisions.append(decision_from_scores(segment.segment_id, indices, scores,
                                               majority_threshold))
     return decisions

@@ -131,6 +131,15 @@ class TestManifest:
             parse_manifest(p)
         assert err.value.row == 2
 
+    def test_rows_are_file_lines_after_a_multiline_field(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text('wav_path,speaker_id,start_ms,end_ms,label\n'
+                     '"two\nlines.wav",s,0,100,other\n'
+                     'a.wav,s,0,100,yes\n')
+        with pytest.raises(ParseError, match="unknown label") as err:
+            parse_manifest(p)
+        assert err.value.row == 4
+
     def test_non_utf8_byte_names_its_line(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_bytes(b"wav_path,speaker_id,start_ms,end_ms,label\n"
@@ -200,6 +209,43 @@ class TestManifest:
         segs = load_segments(m)
         assert [len(s.samples) for s in segs] == [4800, 6400]
         assert segs[0].label is Label.CONFIRMATION
+
+
+# one byte of every class the manifest reader tells apart: NUL and control
+# characters, CSV separators and quotes, signs and digits, path characters,
+# letters, and bytes that break UTF-8 (lone continuation, cut-off lead, 0xff)
+_SCAN_BYTES = b"\x00\t\n\r \"',+-./09Ao_z\\\x7f\x80\xc3\xef\xff"
+
+
+def test_manifest_overwrite_and_truncation_load_or_raise_typed(tmp_path):
+    """Every single-byte overwrite and every truncation of a 4-row manifest.
+
+    `load_segments` reads the manifest and the WAVs it names; each case
+    loads, raises ParseError, or raises an OSError for a WAV that is not there.
+    """
+    rng = np.random.default_rng(0)
+    for name in ("a.wav", "b.wav"):
+        write_wav(tmp_path / name, AudioBuffer(rng.uniform(-0.5, 0.5, 16000)))
+    text = (b"wav_path,speaker_id,start_ms,end_ms,label\n"
+            b"a.wav,s1,0,500,confirmation\n"
+            b"a.wav,s1,500,900,other\n"
+            b"b.wav,s2,100,400,Other\n"
+            b"b.wav,s2,400,999,CONFIRMATION\n")
+    cases = [text[:length] for length in range(len(text))]
+    cases += [text[:pos] + bytes([b]) + text[pos + 1:]
+              for pos in range(len(text)) for b in _SCAN_BYTES if b != text[pos]]
+    manifest = tmp_path / "m.csv"
+    outcomes = set()
+    for blob in cases:
+        manifest.write_bytes(blob)
+        try:
+            load_segments(manifest)
+            outcomes.add("loads")
+        except ParseError:
+            outcomes.add("ParseError")
+        except OSError:
+            outcomes.add("OSError")
+    assert outcomes == {"loads", "ParseError", "OSError"}  # the scan reaches every outcome
 
 
 class TestVad:

@@ -367,7 +367,7 @@ class TestGridOracle:
         real_distances, real_path = cv_core.squared_distances, cv_core.smo_path
 
         def counting_distances(a, b):
-            distances.append(a.shape[0])
+            distances.append((a.shape[0], b.shape[0], a is b))
             return real_distances(a, b)
 
         def counting_path(kernel, labels, C, tolerances, *rest):
@@ -378,7 +378,13 @@ class TestGridOracle:
         monkeypatch.setattr(cv_core, "smo_path", counting_path)
         speakers = overlapping_speakers(TWO_DIM)
         grid_search(speakers, TWO_DIM, seed=0)
-        assert len(distances) == len(speakers)
+        # per fold: the square training matrix, then one held-out matrix per gamma
+        assert len(distances) == len(speakers) * 3
+        for held_out, fold in zip(speakers, zip(*[iter(distances)] * 3)):
+            (n_train, m_train, square), *scored = fold
+            assert square and n_train == m_train
+            assert [(n, same) for n, _, same in scored] == [(held_out.labels.size, False)] * 2
+            assert all(0 < m <= n_train for _, m, _ in scored)  # support-row unions
         assert len(smo_runs) == len(speakers) * 2 * 2  # folds x C x gamma
         assert all(tolerances == (0.005, 0.05, 0.1, 0.5) for _, tolerances in smo_runs)
 

@@ -21,6 +21,7 @@ from nlconfirm.learn import (
     save_model_json,
     train_svm,
 )
+from nlconfirm.learn.svm import _CHUNK_ELEMENTS
 
 
 def make_bundle(kind: FeatureKind, seed: int = 0) -> ModelBundle:
@@ -59,6 +60,37 @@ def test_roundtrip_decision_values(tmp_path, kind):
     restored = loaded.decide_many(probes)
     assert np.array_equal(original, restored)  # format is bit-exact
     assert np.max(np.abs(original - restored)) <= 1e-12
+
+
+_SCORED_BUNDLES = {kind: make_bundle(kind) for kind in (
+    FeatureKind.MFCC, FeatureKind.STACKED_FORMANTS,        # without PCA
+    FeatureKind.MFCC_DELTA, FeatureKind.STACKED_MFCC,      # with PCA
+)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_SCORED_BUNDLES, key=lambda k: k.value)),
+    size=st.sampled_from(["one", "chunk - 1", "chunk", "chunk + 1", "3 chunks + 1"]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_decide_many_is_decide_row_by_row(kind, size, scale, seed, data):
+    bundle = _SCORED_BUNDLES[kind]
+    chunk = _CHUNK_ELEMENTS // bundle.svm.support_vectors.size  # rows per scoring chunk
+    n = {"one": 1, "chunk - 1": chunk - 1, "chunk": chunk, "chunk + 1": chunk + 1,
+         "3 chunks + 1": 3 * chunk + 1}[size]
+    rows = np.random.default_rng(seed).standard_normal(
+        (n, bundle.feature_config.raw_dimension)) * scale
+    batch = bundle.decide_many(rows)
+    assert batch.tobytes() == np.array([bundle.decide(row) for row in rows]).tobytes()
+    # a row's score does not depend on where in the batch (or in which chunk) it sits
+    shift = data.draw(st.integers(0, n - 1))
+    assert np.roll(bundle.decide_many(np.roll(rows, shift, axis=0)), -shift).tobytes() \
+        == batch.tobytes()
+    stop = data.draw(st.integers(1, n))
+    assert bundle.decide_many(rows[stop - 1:stop]).tobytes() == batch[stop - 1:stop].tobytes()
 
 
 def test_roundtrip_fields(tmp_path):
