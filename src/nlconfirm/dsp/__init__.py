@@ -1,11 +1,14 @@
 """Per-frame signal-processing primitives.
 
-Pure functions on 1-D numpy arrays; `apply_window`, `power_spectrum` and
-`mfcc` also take an (n, length) block of frames, one frame per row, and
-give each row the bits of a call on that frame alone. Window and
-filterbank tables are precomputed, immutable and shared. Windowing happens
-in the feature layer, so everything here expects already-windowed frames
-where it matters.
+Pure functions on 1-D numpy arrays. `apply_window`, `power_spectrum`,
+`mfcc`, `lpc`, `lpc_polynomial`, `polynomial_roots`, `fix_roots` and
+`formants` also take an (n, ·) block, one frame (polynomial, root set)
+per row, and give each row the bits of a call on that row alone; the
+formant chain leaves NaN the rows a 1-D call would reject or solve at a
+lower degree (see `lpc`). `pitch_yin_fft` takes one frame at a time.
+Window and filterbank tables are precomputed, immutable and shared.
+Windowing happens in the feature layer, so everything here expects
+already-windowed frames where it matters.
 """
 
 from .windows import WindowKind, WindowFunction, make_window, apply_window

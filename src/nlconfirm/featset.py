@@ -11,10 +11,14 @@ Extraction is block-based, through one path with one output shape,
 complete. StreamingExtractor.push_block consumes the next frames of a
 segment, a push of one frame is a block of one, and `finish` flushes the
 tail. Offline callers (`extract_matrix`, `extract`, training, `evaluate`,
-`classify`) hand over whole segments, and MFCCs of a block come from one
-batched `mfcc` call; the online mode pushes frame by frame. Any partition
-of a segment into blocks gives bit-identical vectors, so offline and
-online paths agree. Stacks are causal (a vector emitted at frame t covers
+`classify`) hand over whole segments; the online mode pushes frame by
+frame. MFCCs of a block come from one batched `mfcc` call, and formants
+from one `lpc`, `polynomial_roots` and `formants` call on the block; the
+rows that chain leaves NaN (silent frames, a recursion that stops early)
+go through the per-frame chain, as does every row of a block in which a
+root misses the residual bound. Any partition of a segment into blocks
+gives bit-identical vectors and formant counters, so offline and online
+paths agree. Stacks are causal (a vector emitted at frame t covers
 frames t-14 .. t). The derivative set is the one look-ahead consumer: frame t
 needs MFCCs up to t+3, so its vectors trail the stream by three frames and
 the tail is flushed with edge replication when the segment ends.
@@ -168,6 +172,28 @@ def _formant_pair(windowed: np.ndarray, stats: Stats | None = None) -> np.ndarra
     return pair.as_array()
 
 
+def _formant_rows(windowed: np.ndarray, stats: Stats | None = None) -> np.ndarray:
+    """(k, 2) formant pairs of a (k, 400) block, each row bitwise `_formant_pair` of its frame.
+
+    One call of each chain function serves the whole block. The rows it
+    leaves NaN (zero or subnormal energy, a recursion that stops early, a
+    zero last coefficient) go through `_formant_pair`, as does every row
+    when a root misses the residual bound, so the zero pairs and the
+    counters are those of the frame-by-frame chain.
+    """
+    try:
+        pairs = formants(fix_roots(polynomial_roots(lpc_polynomial(lpc(windowed)))),
+                         SAMPLE_RATE).as_array()
+    except NumericalFailure:
+        pairs = np.full((len(windowed), 2), np.nan)
+    no_candidate = np.count_nonzero(pairs[:, 0] == 0.0)
+    if stats is not None and no_candidate:
+        stats.count("formant_no_candidate", no_candidate)
+    for i in np.flatnonzero(np.isnan(pairs[:, 0])):
+        pairs[i] = _formant_pair(windowed[i], stats)
+    return pairs
+
+
 def _windows(series: np.ndarray, offset: int, first: int, stop: int,
              before: int, after: int, n: int) -> np.ndarray:
     """(m, before + 1 + after, d) context windows of frames t = first .. stop - 1.
@@ -196,8 +222,8 @@ def _stack_rows(kind: FeatureKind, series: np.ndarray, offset: int, first: int,
                 n: int) -> np.ndarray:
     """Stacked (or formant-SD) vectors for t = first .. n - 1 over the last STACK_DEPTH frames."""
     windows = _windows(series, offset, first, n, STACK_DEPTH - 1, 0, n)
-    if kind is FeatureKind.FORMANT_SD:
-        return np.array([[np.std(w[:, 0]), np.std(w[:, 1])] for w in windows])
+    if kind is FeatureKind.FORMANT_SD:  # each SD over a contiguous row, as np.std of one column
+        return np.std(np.ascontiguousarray(windows.transpose(0, 2, 1)), axis=-1)
     return windows.reshape(len(windows), -1).copy()  # a push's window views the history
 
 
@@ -246,12 +272,15 @@ class StreamingExtractor:
         return np.array([pitch_yin_fft(windowed, SAMPLE_RATE)])
 
     def _base_block(self, frames: Sequence[Frame]) -> np.ndarray:
-        """(k, d) base vectors of k frames; MFCCs of a block come from one batched call."""
+        """(k, d) base vectors of k frames; MFCCs and formants of a block come batched."""
         if len(frames) == 1:  # a push: the 1-D calls skip the batching set-up
             return self._base_vector(apply_window(frames[0].samples, self._window))[None]
         windowed = apply_window(np.stack([f.samples for f in frames]), self._window)
-        if self.config.kind in _MFCC_KINDS:
+        kind = self.config.kind
+        if kind in _MFCC_KINDS:
             return mfcc(windowed, SAMPLE_RATE)
+        if kind in _FORMANT_KINDS:
+            return _formant_rows(windowed, self._stats)
         return np.array([self._base_vector(w) for w in windowed])
 
     def _extend(self, base: np.ndarray) -> tuple[np.ndarray, int]:

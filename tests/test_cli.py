@@ -439,3 +439,51 @@ def test_run_metadata_counts_formant_zero_pairs(tmp_path):
         assert run(command, *flags, *features, "--out", out) == 0
         counters = json.loads((out / "run_metadata.json").read_text())["counters"]
         assert {name: counters[name] for name in want} == want, command
+
+
+def _corrupt_inputs(corpus_dir: Path, tmp_path: Path) -> dict[str, tuple[Path, Path, Path]]:
+    """(wav, manifest, config) per corruption: exactly one of the three is broken."""
+    good_wav = corpus_dir / "wavs" / "spk00.wav"
+    header = b"wav_path,speaker_id,start_ms,end_ms,label\n"
+
+    def manifest(name: str, row: bytes) -> Path:
+        path = tmp_path / name
+        path.write_bytes(header + row + b"\n")
+        return path
+
+    broken_wav = tmp_path / "broken.wav"
+    blob = bytearray(good_wav.read_bytes())
+    blob[16:20] = struct.pack("<I", 0x7FFFFFFF)  # the fmt chunk's size, past the end
+    broken_wav.write_bytes(bytes(blob))
+    good_manifest = manifest("good.csv", str(good_wav).encode() + b",spk00,0,900,other")
+    config = tmp_path / "run.conf"
+    config.write_text("seed = 3\n")
+    bad_config = tmp_path / "bad.conf"
+    bad_config.write_bytes(b"seed = 3\nfeatures = \xff\n")
+    return {
+        "wav": (broken_wav, manifest("wav.csv", str(broken_wav).encode() + b",spk00,0,900,other"),
+                config),
+        "manifest": (good_wav, manifest("bytes.csv", str(good_wav).encode() + b",spk\xff,0,900,x"),
+                     config),
+        "config": (good_wav, good_manifest, bad_config),
+    }
+
+
+@pytest.mark.parametrize("broken", ["wav", "manifest", "config"])
+@pytest.mark.parametrize("command", ["extract", "train", "grid-search", "evaluate", "classify",
+                                     "listen"])
+def test_corrupt_input_exits_typed_without_traceback(corpus_dir, model_dir, tmp_path, capsys,
+                                                    command, broken):
+    # a typed error ends the command with its exit code and a one-line message;
+    # an untyped one would escape main() and fail this test with its traceback
+    wav, manifest, config = _corrupt_inputs(corpus_dir, tmp_path)[broken]
+    if command == "listen":
+        flags = ("--wav", wav, "--manifest", manifest, "--model", model_dir / "model.nlcm")
+    elif command == "classify":
+        flags = ("--manifest", manifest, "--model", model_dir / "model.nlcm")
+    else:
+        flags = ("--manifest", manifest, "--features", "stacked_formants")
+    code = run(command, *flags, "--config", config, "--out", tmp_path / "o")
+    err = capsys.readouterr().err
+    assert code == (2 if broken == "config" else 3), err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1

@@ -380,3 +380,34 @@ class TestSplit:
         assert split.train and split.test
         eligible = {f"spk{i}" for i, (_, c) in enumerate(counts) if c}
         assert split.train_speakers | split.test_speakers == eligible
+
+
+# one byte of every class the WAV reader tells apart: zero and small counts
+# (channels, sample width, chunk sizes), a space and the letters of the chunk
+# ids, and bytes with the high bit set up to all ones
+_WAV_SCAN_BYTES = b"\x00\x01\x02\x10 d\x7f\x80\xff"
+
+
+def test_wav_overwrite_and_truncation_load_or_raise_typed(tmp_path):
+    """Every single-byte overwrite and every truncation of an 844-byte WAV.
+
+    Each case loads, or raises CorruptFile or UnsupportedFormat.
+    """
+    wav = tmp_path / "a.wav"
+    write_wav(wav, AudioBuffer(np.random.default_rng(0).uniform(-0.5, 0.5, 400)))
+    blob = wav.read_bytes()
+    assert len(blob) == 844
+    cases = [blob[:length] for length in range(len(blob))]
+    cases += [blob[:pos] + bytes([b]) + blob[pos + 1:]
+              for pos in range(len(blob)) for b in _WAV_SCAN_BYTES if b != blob[pos]]
+    outcomes = set()
+    for case in cases:
+        wav.write_bytes(case)
+        try:
+            load_wav(wav)
+            outcomes.add("loads")
+        except CorruptFile:
+            outcomes.add("CorruptFile")
+        except UnsupportedFormat:
+            outcomes.add("UnsupportedFormat")
+    assert outcomes == {"loads", "CorruptFile", "UnsupportedFormat"}  # the scan reaches each

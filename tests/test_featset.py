@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nlconfirm.corpus import FRAME_LEN, HOP_LEN, SAMPLE_RATE, Frame, frame_stream
 from nlconfirm.dsp import (
@@ -258,6 +259,23 @@ def voiced_frames(n: int, seed: int = 0) -> list[Frame]:
     return frames_from(samples)
 
 
+def special_frames(n: int, seed: int = 0) -> list[Frame]:
+    """`voiced_frames` whose middle third cycles through silent, subnormal and constant frames.
+
+    The batched formant chain leaves silent (all-zero) and subnormal-amplitude
+    (1e-160) frames to `_formant_pair`; a constant frame is an ordinary row
+    without a formant candidate.
+    """
+    out = []
+    for frame in voiced_frames(n, seed=seed):
+        if n // 3 <= frame.index < 2 * n // 3:
+            samples = (np.zeros(FRAME_LEN), 1e-160 * frame.samples,
+                       np.full(FRAME_LEN, 0.25))[frame.index % 3]
+            frame = Frame(samples, frame.index, frame.segment_ref)
+        out.append(frame)
+    return out
+
+
 def base_series(frames: list[Frame], kind: FeatureKind) -> np.ndarray:
     """Per-frame base features of a whole segment, one row per frame."""
     window = make_window(window_kind_for(kind), FRAME_LEN)
@@ -412,6 +430,24 @@ class TestBlockPartition:
         for a, b in zip(pushed[1], blocked[1], strict=True):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("kind", [FeatureKind.FORMANT_SD, FeatureKind.STACKED_FORMANTS])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_special_middle_frames_equal_pushes(self, kind, data):
+        # the special rows of a block go through the per-frame chain: rows and counters match
+        config = FeatureSetConfig(kind)
+        n = data.draw(st.integers(STACK_DEPTH, 45), label="frames")
+        sizes = data.draw(st.lists(st.integers(2, n), min_size=1, max_size=n), label="blocks")
+        frames = special_frames(n, seed=n)
+        pushed, blocked = Stats(), Stats()
+        want = stream(StreamingExtractor(config, pushed), frames)
+        got = _push_blocks(StreamingExtractor(config, blocked), _cut(frames, sizes))
+        assert got[0] == want[0]
+        assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
+        assert blocked.counters == pushed.counters
+        middle = range(n // 3, 2 * n // 3)
+        assert pushed.counters["formant_silent"] == sum(t % 3 < 2 for t in middle)
+
     def test_extract_matrix_matches_extract(self):
         frames = voiced_frames(30, seed=5)
         config = FeatureSetConfig(FeatureKind.MFCC_DELTA)
@@ -425,6 +461,72 @@ class TestBlockPartition:
         assert len(indices) == 0 and rows.shape == (0, 195)
         indices, _ = extractor.push_block(noise_frames(STACK_DEPTH))
         assert indices == range(STACK_DEPTH - 1, STACK_DEPTH)  # the empty block consumed nothing
+
+
+_ROW_KINDS = ("silent", "subnormal", "constant", "sine", "noise", "voiced")
+
+
+@st.composite
+def formant_blocks(draw) -> np.ndarray:
+    """(k, 400) Hann-windowed blocks mixing ordinary and special rows.
+
+    Silent rows and rows of amplitude about 1e-160 (their lags are
+    subnormal, and the recursion would stop early on them) are special;
+    constant rows, sinusoids, noise at any level and voiced frames are
+    ordinary.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.arange(FRAME_LEN)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=2, max_size=12)):
+        if kind == "silent":
+            row = np.zeros(FRAME_LEN)
+        elif kind == "subnormal":
+            row = 10.0 ** draw(st.floats(-165.0, -150.0)) * rng.uniform(-1.0, 1.0, FRAME_LEN)
+        elif kind == "constant":
+            row = np.full(FRAME_LEN, draw(st.floats(-1.0, 1.0)))
+        elif kind == "sine":
+            row = np.sin(draw(st.floats(0.001, np.pi)) * t + draw(st.floats(0.0, 6.3)))
+        elif kind == "noise":
+            row = 10.0 ** draw(st.floats(-8.0, 2.0)) * rng.standard_normal(FRAME_LEN)
+        else:
+            row = voiced_frames(1, seed=int(rng.integers(1000)))[0].samples
+        rows.append(row)
+    return apply_window(np.stack(rows), make_window(WindowKind.HANN, FRAME_LEN))
+
+
+class TestFormantRows:
+    """A block's formant pairs and counters against `_formant_pair`, one frame at a time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(formant_blocks())
+    def test_block_equals_frame_by_frame(self, block):
+        frame_stats, block_stats = Stats(), Stats()
+        want = np.array([featset._formant_pair(row, frame_stats) for row in block])
+        got = featset._formant_rows(block, block_stats)
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        assert block_stats.counters == frame_stats.counters
+
+
+class TestFormantSdOracle:
+    """Formant SDs of stacked windows against np.std of each window column, one window at a time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(STACK_DEPTH, 40).flatmap(lambda n: arrays(
+        np.float64, (n, 2),
+        elements=st.one_of(st.just(0.0), st.floats(90.0, 8000.0), st.floats(-1e150, 1e150)))))
+    def test_equals_loop_in_blocks_and_pushes(self, series):
+        n = len(series)
+        emitted = range(STACK_DEPTH - 1, n)
+        want = np.array([[np.std(w[:, 0]), np.std(w[:, 1])]
+                         for w in (series[t - STACK_DEPTH + 1: t + 1] for t in emitted)])
+        block = featset._stack_rows(FeatureKind.FORMANT_SD, series, 0, STACK_DEPTH - 1, n)
+        assert block.tobytes() == want.tobytes()
+        for t, row in zip(emitted, want):  # a push: one window over the held history
+            lo = max(0, t - STACK_DEPTH)
+            pushed = featset._stack_rows(FeatureKind.FORMANT_SD, series[lo: t + 1], lo, t, t + 1)
+            assert pushed.tobytes() == row[None].tobytes()
 
 
 class TestFormantCounters:

@@ -311,9 +311,12 @@ def _toeplitz_condition(frame, order=12):
 
 
 @st.composite
-def lpc_frames(draw):
-    """Frames of 13-400 samples: arbitrary values, or a sinusoid with little or no noise."""
-    n = draw(st.integers(13, 400))
+def lpc_frames(draw, n: int | None = None):
+    """Frames of 13-400 samples: arbitrary values, or a sinusoid with little or no noise.
+
+    `n` fixes the length, for blocks of equal-length frames.
+    """
+    n = draw(st.integers(13, 400)) if n is None else n
     amplitude = 10.0 ** draw(st.floats(-100.0, 100.0))
     if draw(st.booleans()):
         values = draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
@@ -405,6 +408,94 @@ class TestLpcOracle:
     def test_frame_no_longer_than_the_order(self):
         with pytest.raises(DegenerateFrame):
             lpc(np.ones(12))
+
+
+@st.composite
+def lpc_blocks(draw):
+    """(k, n) blocks of `lpc_frames` rows, some scaled to zero or to about 1e-160 (silent)."""
+    n = draw(st.integers(13, 400))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        row = draw(lpc_frames(n))
+        peak = max(float(np.max(np.abs(row))), 1e-300)
+        rows.append(row * draw(st.sampled_from([1.0, 1.0, 0.0, 1e-160 / peak])))
+    return np.stack(rows)
+
+
+@st.composite
+def root_blocks(draw):
+    """(k, m) blocks of root sets, every kind of `_root_kinds`, some rows holding a NaN."""
+    m = draw(st.integers(0, 14))
+    rows = draw(st.lists(st.lists(_root_kinds, min_size=m, max_size=m), min_size=1, max_size=6))
+    block = np.array(rows, dtype=np.complex128).reshape(len(rows), m)
+    if m and draw(st.booleans()):
+        block[draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, m - 1))] = np.nan
+    return block
+
+
+class TestBlocks:
+    """Each chain function on a (k, ·) block against its 1-D call on every row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lpc_blocks())
+    def test_lpc_rows_are_frame_calls(self, block):
+        got = lpc(block)
+        assert got.coefficients.shape == (len(block), 12) and got.gain.shape == (len(block),)
+        for row, coefficients, gain in zip(block, got.coefficients, got.gain):
+            try:
+                want = lpc(row)
+            except DegenerateFrame:
+                assert np.isnan(coefficients).all() and np.isnan(gain)
+                continue
+            if np.isnan(gain):  # the recursion stopped early, leaving zero residual energy
+                assert want.gain == 0.0
+                continue
+            assert coefficients.tobytes() == want.coefficients.tobytes()
+            assert np.float64(gain).tobytes() == np.float64(want.gain).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(degree_12_polynomials(), min_size=1, max_size=6),
+           st.sampled_from([1e-300, 1e-15, 1e-14, 1e-13, 1e-6]))
+    def test_polynomial_roots_rows_are_polynomial_calls(self, polynomials, tol):
+        # a zero last coefficient would be deflated alone: NaN in a block, unchecked
+        want = []
+        for poly in polynomials:
+            try:
+                want.append(polynomial_roots(poly, residual_tol=tol))
+            except NumericalFailure:
+                want.append(None)
+        if any(w is None and poly[-1] != 0.0 for w, poly in zip(want, polynomials)):
+            with pytest.raises(NumericalFailure):
+                polynomial_roots(np.stack(polynomials), residual_tol=tol)
+            return
+        got = polynomial_roots(np.stack(polynomials), residual_tol=tol)
+        assert got.shape == (len(polynomials), 12) and got.dtype == np.complex128
+        for row, roots, poly in zip(got, want, polynomials):
+            if poly[-1] == 0.0:
+                assert np.isnan(row).all()
+            else:
+                assert row.tobytes() == roots.tobytes()
+
+    def test_non_finite_rows_are_nan(self):
+        block = np.stack([lpc_polynomial(lpc(np.sin(0.3 * np.arange(400))))] * 3)
+        block[1, 4] = np.nan
+        block[2, 0] = np.inf
+        got = polynomial_roots(block)
+        assert got[0].tobytes() == polynomial_roots(block[0]).tobytes()
+        assert np.isnan(got[1:]).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(root_blocks())
+    def test_fix_roots_and_formants_rows_are_root_set_calls(self, block):
+        fixed = fix_roots(block)
+        pair = formants(fixed, FS)
+        assert pair.as_array().shape == (len(block), 2)
+        for row, fixed_row, got in zip(block, fixed, pair.as_array()):
+            assert fixed_row.tobytes() == fix_roots(row).tobytes()
+            if np.isnan(row).any():
+                assert np.isnan(got).all()
+            else:
+                assert got.tobytes() == formants(fixed_row, FS).as_array().tobytes()
 
 
 # LPC polynomial (Hann window) of frame 1897 of seed-0 `spk01.wav`. Its roots
