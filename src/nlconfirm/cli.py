@@ -368,7 +368,7 @@ def cmd_listen(args: argparse.Namespace, ctx: RunContext) -> dict:
 
 
 def _load_config_file(path: str) -> dict:
-    """key = value lines of UTF-8 text; '#' starts a comment."""
+    """key = value lines of UTF-8 text without NUL; '#' starts a comment."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -376,6 +376,8 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
     values: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        if "\0" in raw:
+            raise ConfigError(f"{path}:{line_no}: NUL byte")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -422,6 +424,9 @@ _RANGES = {
     "majority_threshold": (lambda v: -1.0 <= v < 1.0, "in [-1, 1)"),
     "vad_threshold": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
     "hangover_ms": (lambda v: v >= 0, ">= 0"),
+    "speakers": (lambda v: v >= 1, ">= 1"),
+    "segments_per_speaker": (lambda v: v >= 2, ">= 2"),
+    "confirmation_rate": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
 }
 
 

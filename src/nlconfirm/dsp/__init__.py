@@ -5,7 +5,8 @@ Pure functions on 1-D numpy arrays. `apply_window`, `power_spectrum`,
 `formants` also take an (n, ·) block, one frame (polynomial, root set)
 per row, and give each row the bits of a call on that row alone; the
 formant chain leaves NaN the rows a 1-D call would reject or solve at a
-lower degree (see `lpc`). `pitch_yin_fft` takes one frame at a time.
+lower degree, and raises for none (see `lpc`); `formants` gives (F1, F2)
+as a plain array. `pitch_yin_fft` takes one frame at a time.
 Window and filterbank tables are precomputed, immutable and shared.
 Windowing happens in the feature layer, so everything here expects
 already-windowed frames where it matters.
@@ -32,7 +33,6 @@ from .savgol import (
 )
 from .lpc import (
     LpcResult,
-    FormantPair,
     LPC_ORDER,
     lpc,
     lpc_polynomial,
@@ -48,7 +48,7 @@ __all__ = [
     "mfcc_from_log_energies", "mfcc",
     "N_MFCC", "N_MEL_BANDS", "MEL_FMIN", "MEL_FMAX", "LOG_FLOOR",
     "SavitzkyGolayFilter", "FIRST_DERIVATIVE", "SECOND_DERIVATIVE", "savitzky_golay",
-    "LpcResult", "FormantPair", "LPC_ORDER", "lpc", "lpc_polynomial",
+    "LpcResult", "LPC_ORDER", "lpc", "lpc_polynomial",
     "polynomial_roots", "fix_roots", "formants",
     "pitch_yin_fft",
 ]

@@ -14,9 +14,12 @@ and give each row the bits of a call on that row alone: the lags come from
 one batched product with the 1-D dot loop, Levinson runs across rows in the
 1-D order of operations, the companion matrices go to one stacked
 `np.linalg.eigvals` call, and the picking is one masked sort. A row the 1-D
-call would reject or solve at a lower degree (zero or subnormal energy, a
-recursion that stops early, a zero last coefficient) comes back NaN, so the
-caller can run it alone; feature extraction does so (`featset`).
+call would not finish comes back NaN: one it would reject (zero or
+subnormal energy, a root that misses the residual bound) or solve at a
+lower degree (a recursion that stops early, a zero last coefficient). The
+caller can run such a row alone; feature extraction does so (`featset`).
+`formants` returns a plain array: (F1, F2) for one root set, (k, 2) for
+a block.
 """
 
 from __future__ import annotations
@@ -45,21 +48,6 @@ class LpcResult:
     order: int
     coefficients: np.ndarray
     gain: float
-
-
-@dataclass(frozen=True)
-class FormantPair:
-    """First two formant frequencies in Hz; 0 marks an absent formant.
-
-    Floats for one frame, (k,) arrays for a block.
-    """
-
-    f1: float | np.ndarray
-    f2: float | np.ndarray
-
-    def as_array(self) -> np.ndarray:
-        """(2,) for one frame; (k, 2), one row per frame, for a block."""
-        return np.array([self.f1, self.f2]).T
 
 
 def lpc(windowed: np.ndarray, order: int = LPC_ORDER) -> LpcResult:
@@ -155,9 +143,9 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
     polynomial: the companion matrices of all rows go to one stacked
     `np.linalg.eigvals` call, and one Horner pass checks every root. Rows
     the 1-D call would solve at a lower degree (a zero first or last
-    coefficient) or cannot solve (NaN or infinite coefficients) are NaN.
-    A root that misses the residual bound raises NumericalFailure for the
-    block, as the 1-D call does for its polynomial.
+    coefficient), cannot solve (NaN or infinite coefficients) or would
+    reject (a root that misses the residual bound) are NaN; the block call
+    itself does not raise NumericalFailure.
     """
     c = np.atleast_1d(np.asarray(coefficients, dtype=np.float64))
     if c.ndim == 2:
@@ -178,15 +166,7 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
         for i in range(m):
             value *= point
             value += steps[:, :, i:i + 1]
-        residual = np.abs(value[:, 0])
-        scale = value[:, 1].real
-        failed = np.argwhere(residual > residual_tol * scale)
-        if failed.size:
-            row, i = failed[0]
-            raise NumericalFailure(
-                f"row {np.flatnonzero(solvable)[row]}: root {found[row, i]} residual "
-                f"{residual[row, i]:.3e} exceeds {residual_tol:.0e} * scale {scale[row, i]:.3e}"
-            )
+        found[(np.abs(value[:, 0]) > residual_tol * value[:, 1].real).any(axis=1)] = np.nan
         roots[solvable] = found
         return roots
     nonzero = np.flatnonzero(np.abs(c) > 0.0)
@@ -234,17 +214,17 @@ def fix_roots(roots: np.ndarray) -> np.ndarray:
     return out
 
 
-def formants(roots: np.ndarray, sample_rate: int) -> FormantPair:
-    """First two formant frequencies from fixed LPC roots.
+def formants(roots: np.ndarray, sample_rate: int) -> np.ndarray:
+    """First two formant frequencies in Hz, (F1, F2), from fixed LPC roots.
 
     Candidates are roots with angle in (0, pi); frequency = angle * fs / 2pi
     and bandwidth = -(fs/pi) * ln|r|. Candidates below 90 Hz or wider than
-    400 Hz bandwidth are discarded; the two lowest survivors are returned,
-    padded with 0.
+    400 Hz bandwidth are discarded; the two lowest survivors are returned
+    as a (2,) array, padded with 0 (an absent formant).
 
-    A (k, m) block of root sets gives a pair of (k,) arrays, each row
-    bitwise that of its root set: the survivors are picked with one masked
-    sort. A row holding a NaN root gives a NaN pair.
+    A (k, m) block of root sets gives (k, 2), each row bitwise that of its
+    root set: the survivors are picked with one masked sort. A row holding
+    a NaN root gives a NaN pair.
     """
     roots = np.asarray(roots, dtype=np.complex128)
     angle = np.angle(roots)
@@ -260,7 +240,6 @@ def formants(roots: np.ndarray, sample_rate: int) -> FormantPair:
         pair = np.sort(candidates, axis=1)[:, :2]
         pair[np.isinf(pair)] = 0.0
         pair[np.isnan(roots).any(axis=1)] = np.nan
-        return FormantPair(f1=pair[:, 0], f2=pair[:, 1])
+        return pair
     kept = freq[upper][bandwidth <= FORMANT_MAX_BANDWIDTH_HZ]
-    candidates = np.sort(kept).tolist() + [0.0, 0.0]
-    return FormantPair(f1=candidates[0], f2=candidates[1])
+    return np.array((np.sort(kept).tolist() + [0.0, 0.0])[:2])

@@ -14,14 +14,19 @@ tail. Offline callers (`extract_matrix`, `extract`, training, `evaluate`,
 `classify`) hand over whole segments; the online mode pushes frame by
 frame. MFCCs of a block come from one batched `mfcc` call, and formants
 from one `lpc`, `polynomial_roots` and `formants` call on the block; the
-rows that chain leaves NaN (silent frames, a recursion that stops early)
-go through the per-frame chain, as does every row of a block in which a
-root misses the residual bound. Any partition of a segment into blocks
-gives bit-identical vectors and formant counters, so offline and online
-paths agree. Stacks are causal (a vector emitted at frame t covers
-frames t-14 .. t). The derivative set is the one look-ahead consumer: frame t
-needs MFCCs up to t+3, so its vectors trail the stream by three frames and
-the tail is flushed with edge replication when the segment ends.
+rows that chain leaves NaN (silent frames, a recursion that stops early,
+a root that misses the residual bound) go through the per-frame chain one
+by one. Any partition of a segment into blocks gives bit-identical vectors
+and formant counters, so offline and online paths agree. Stacks are
+causal (a vector emitted at frame t covers frames t-14 .. t). The
+derivative set is the one look-ahead consumer: frame t needs MFCCs up to
+t+3, so its vectors trail the stream by three frames and the tail is
+flushed with edge replication when the segment ends.
+
+Each set is one row of a recipe table: its base feature, its lift over
+frames (the frame itself, the derivative set, a stack, or the SD of a
+stack) and whether PCA follows. Dimension, window, context and the
+extraction branch all follow from that row.
 
 The extractor's history is the last 15 base vectors, which every
 consumer's context fits in (a stack needs 15, a derivative 3 back and 3
@@ -34,6 +39,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,30 +77,27 @@ class FeatureKind(enum.Enum):
     STACKED_PITCH = "stacked_pitch"
 
 
-_DIMENSIONS = {
-    FeatureKind.MFCC: 13,
-    FeatureKind.MFCC_DELTA: 39,
-    FeatureKind.STACKED_MFCC: 195,
-    FeatureKind.FORMANT_SD: 2,
-    FeatureKind.STACKED_FORMANTS: 30,
-    FeatureKind.PITCH: 1,
-    FeatureKind.STACKED_PITCH: 15,
-}
+class _Recipe(NamedTuple):
+    base: str   # per-frame feature: "mfcc", "formants" or "pitch"
+    lift: str   # "frame", "delta" (plus two derivatives), "stack" or "sd" (SD of a stack)
+    pca: bool
 
-_MFCC_KINDS = {FeatureKind.MFCC, FeatureKind.MFCC_DELTA, FeatureKind.STACKED_MFCC}
-_FORMANT_KINDS = {FeatureKind.FORMANT_SD, FeatureKind.STACKED_FORMANTS}
+
+_RECIPES = {
+    FeatureKind.MFCC: _Recipe("mfcc", "frame", False),
+    FeatureKind.MFCC_DELTA: _Recipe("mfcc", "delta", True),
+    FeatureKind.STACKED_MFCC: _Recipe("mfcc", "stack", True),
+    FeatureKind.FORMANT_SD: _Recipe("formants", "sd", False),
+    FeatureKind.STACKED_FORMANTS: _Recipe("formants", "stack", False),
+    FeatureKind.PITCH: _Recipe("pitch", "frame", False),
+    FeatureKind.STACKED_PITCH: _Recipe("pitch", "stack", True),
+}
+_BASE_DIMENSION = {"mfcc": N_MFCC, "formants": 2, "pitch": 1}
+_LIFT_WIDTH = {"frame": 1, "delta": 3, "stack": STACK_DEPTH, "sd": 1}  # base vectors per row
+_LIFT_CONTEXT = {"frame": 1, "delta": DELTA_CONTEXT, "stack": STACK_DEPTH, "sd": STACK_DEPTH}
 _FORMANT_COUNTERS = ("formant_silent", "formant_root_failures", "formant_no_candidate")
-_PITCH_KINDS = {FeatureKind.PITCH, FeatureKind.STACKED_PITCH}
-_STACKED_KINDS = {
-    FeatureKind.STACKED_MFCC,
-    FeatureKind.FORMANT_SD,
-    FeatureKind.STACKED_FORMANTS,
-    FeatureKind.STACKED_PITCH,
-}
-_CONTEXT_KINDS = _STACKED_KINDS | {FeatureKind.MFCC_DELTA}  # kinds that read the history
 
-# dimensionality reduction applies to stacked/derivative sets except stacked formants
-PCA_KINDS = {FeatureKind.MFCC_DELTA, FeatureKind.STACKED_MFCC, FeatureKind.STACKED_PITCH}
+PCA_KINDS = {kind for kind, recipe in _RECIPES.items() if recipe.pca}
 
 
 @dataclass(frozen=True)
@@ -105,11 +108,12 @@ class FeatureSetConfig:
 
     @property
     def raw_dimension(self) -> int:
-        return _DIMENSIONS[self.kind]
+        base, lift, _ = _RECIPES[self.kind]
+        return _BASE_DIMENSION[base] * _LIFT_WIDTH[lift]
 
     @property
     def uses_pca(self) -> bool:
-        return self.kind in PCA_KINDS
+        return _RECIPES[self.kind].pca
 
     def to_dict(self) -> dict:
         return {
@@ -132,18 +136,13 @@ class FeatureVector:
 
 def window_kind_for(config: FeatureSetConfig | FeatureKind) -> WindowKind:
     """MFCC-family sets use Blackman-Harris; formant and pitch sets use Hann."""
-    kind = config.kind if isinstance(config, FeatureSetConfig) else config
-    return WindowKind.BLACKMAN_HARRIS4 if kind in _MFCC_KINDS else WindowKind.HANN
+    base = _RECIPES[getattr(config, "kind", config)].base
+    return WindowKind.BLACKMAN_HARRIS4 if base == "mfcc" else WindowKind.HANN
 
 
 def required_context(config: FeatureSetConfig | FeatureKind) -> int:
     """Minimum frame count before the first vector can be emitted."""
-    kind = config.kind if isinstance(config, FeatureSetConfig) else config
-    if kind in _STACKED_KINDS:
-        return STACK_DEPTH
-    if kind is FeatureKind.MFCC_DELTA:
-        return DELTA_CONTEXT
-    return 1
+    return _LIFT_CONTEXT[_RECIPES[getattr(config, "kind", config)].lift]
 
 
 def _formant_pair(windowed: np.ndarray, stats: Stats | None = None) -> np.ndarray:
@@ -167,9 +166,9 @@ def _formant_pair(windowed: np.ndarray, stats: Stats | None = None) -> np.ndarra
             stats.count("formant_root_failures")
         return np.zeros(2)
     pair = formants(roots, SAMPLE_RATE)
-    if pair.f1 == 0.0 and stats is not None:
+    if pair[0] == 0.0 and stats is not None:
         stats.count("formant_no_candidate")
-    return pair.as_array()
+    return pair
 
 
 def _formant_rows(windowed: np.ndarray, stats: Stats | None = None) -> np.ndarray:
@@ -177,15 +176,11 @@ def _formant_rows(windowed: np.ndarray, stats: Stats | None = None) -> np.ndarra
 
     One call of each chain function serves the whole block. The rows it
     leaves NaN (zero or subnormal energy, a recursion that stops early, a
-    zero last coefficient) go through `_formant_pair`, as does every row
-    when a root misses the residual bound, so the zero pairs and the
-    counters are those of the frame-by-frame chain.
+    zero last coefficient, a root that misses the residual bound) go
+    through `_formant_pair`, so the zero pairs and the counters are those
+    of the frame-by-frame chain.
     """
-    try:
-        pairs = formants(fix_roots(polynomial_roots(lpc_polynomial(lpc(windowed)))),
-                         SAMPLE_RATE).as_array()
-    except NumericalFailure:
-        pairs = np.full((len(windowed), 2), np.nan)
+    pairs = formants(fix_roots(polynomial_roots(lpc_polynomial(lpc(windowed)))), SAMPLE_RATE)
     no_candidate = np.count_nonzero(pairs[:, 0] == 0.0)
     if stats is not None and no_candidate:
         stats.count("formant_no_candidate", no_candidate)
@@ -218,11 +213,10 @@ def _delta_rows(series: np.ndarray, offset: int, first: int, stop: int, n: int) 
     ], axis=1)
 
 
-def _stack_rows(kind: FeatureKind, series: np.ndarray, offset: int, first: int,
-                n: int) -> np.ndarray:
-    """Stacked (or formant-SD) vectors for t = first .. n - 1 over the last STACK_DEPTH frames."""
+def _stack_rows(lift: str, series: np.ndarray, offset: int, first: int, n: int) -> np.ndarray:
+    """Rows of t = first .. n - 1 over the last STACK_DEPTH frames: the stack, or its SDs ("sd")."""
     windows = _windows(series, offset, first, n, STACK_DEPTH - 1, 0, n)
-    if kind is FeatureKind.FORMANT_SD:  # each SD over a contiguous row, as np.std of one column
+    if lift == "sd":  # each SD over a contiguous row, as np.std of one column
         return np.std(np.ascontiguousarray(windows.transpose(0, 2, 1)), axis=-1)
     return windows.reshape(len(windows), -1).copy()  # a push's window views the history
 
@@ -248,13 +242,12 @@ class StreamingExtractor:
         self.config = config
         self._stats = stats
         self._window = make_window(window_kind_for(config), FRAME_LEN)
-        kind = config.kind
-        base_dimension = N_MFCC if kind in _MFCC_KINDS else 2 if kind in _FORMANT_KINDS else 1
-        if stats is not None and kind in _FORMANT_KINDS:
+        self._base, self._lift, _ = _RECIPES[config.kind]
+        if stats is not None and self._base == "formants":
             for name in _FORMANT_COUNTERS:
                 stats.count(name, 0)
         # rows [_end - min(_count, STACK_DEPTH), _end) are the latest base vectors
-        self._history = np.empty((2 * STACK_DEPTH, base_dimension))
+        self._history = np.empty((2 * STACK_DEPTH, _BASE_DIMENSION[self._base]))
         self._end = 0
         self._count = 0
 
@@ -262,26 +255,22 @@ class StreamingExtractor:
         self._end = 0
         self._count = 0
 
-    def _base_vector(self, windowed: np.ndarray) -> np.ndarray:
-        """Base vector (MFCCs, formant pair or pitch) of one windowed frame."""
-        kind = self.config.kind
-        if kind in _MFCC_KINDS:
-            return mfcc(windowed, SAMPLE_RATE)
-        if kind in _FORMANT_KINDS:
-            return _formant_pair(windowed, self._stats)
-        return np.array([pitch_yin_fft(windowed, SAMPLE_RATE)])
-
     def _base_block(self, frames: Sequence[Frame]) -> np.ndarray:
-        """(k, d) base vectors of k frames; MFCCs and formants of a block come batched."""
-        if len(frames) == 1:  # a push: the 1-D calls skip the batching set-up
-            return self._base_vector(apply_window(frames[0].samples, self._window))[None]
-        windowed = apply_window(np.stack([f.samples for f in frames]), self._window)
-        kind = self.config.kind
-        if kind in _MFCC_KINDS:
-            return mfcc(windowed, SAMPLE_RATE)
-        if kind in _FORMANT_KINDS:
-            return _formant_rows(windowed, self._stats)
-        return np.array([self._base_vector(w) for w in windowed])
+        """(k, d) base vectors (MFCCs, formant pairs or pitch) of k frames.
+
+        A push (k = 1) takes the 1-D calls, which skip the batching set-up;
+        MFCCs and formants of a longer block come batched.
+        """
+        one = len(frames) == 1
+        samples = frames[0].samples if one else np.stack([f.samples for f in frames])
+        windowed = apply_window(samples, self._window)
+        if self._base == "mfcc":
+            rows = mfcc(windowed, SAMPLE_RATE)
+        elif self._base == "formants":
+            rows = (_formant_pair if one else _formant_rows)(windowed, self._stats)
+        else:
+            rows = np.array([pitch_yin_fft(w, SAMPLE_RATE) for w in np.atleast_2d(windowed)])
+        return rows.reshape(len(frames), -1)
 
     def _extend(self, base: np.ndarray) -> tuple[np.ndarray, int]:
         """Append base rows to the history.
@@ -311,26 +300,25 @@ class StreamingExtractor:
         Returns the frame indices and the (m, d) rows of the vectors that
         became complete; m may be 0.
         """
-        kind = self.config.kind
         if not frames:
             return self._nothing()
         before = self._count
         base = self._base_block(frames)
-        if kind not in _CONTEXT_KINDS:
+        if self._lift == "frame":  # no history read
             self._count += len(base)
             return range(before, self._count), base
         series, offset = self._extend(base)
         n = self._count
-        if kind is FeatureKind.MFCC_DELTA:
+        if self._lift == "delta":
             first, stop = max(0, before - DELTA_LAG), n - DELTA_LAG
         else:
-            # stacked kinds emit from t = STACK_DEPTH - 1 on: the window is full
+            # stacks emit from t = STACK_DEPTH - 1 on: the window is full
             first, stop = max(before, STACK_DEPTH - 1), n
         if first >= stop:
             return self._nothing()
-        if kind is FeatureKind.MFCC_DELTA:
+        if self._lift == "delta":
             return range(first, stop), _delta_rows(series, offset, first, stop, n)
-        return range(first, stop), _stack_rows(kind, series, offset, first, n)
+        return range(first, stop), _stack_rows(self._lift, series, offset, first, n)
 
     def push(self, frame: Frame) -> tuple[range, np.ndarray]:
         """Consume one frame: a block of one, which completes at most one vector."""
@@ -339,7 +327,7 @@ class StreamingExtractor:
     def finish(self) -> tuple[range, np.ndarray]:
         """Flush the derivative set's trailing frames (edge replication)."""
         n = self._count
-        if self.config.kind is not FeatureKind.MFCC_DELTA or n < required_context(self.config):
+        if self._lift != "delta" or n < DELTA_CONTEXT:
             return self._nothing()
         held = min(n, STACK_DEPTH)
         series = self._history[self._end - held: self._end]

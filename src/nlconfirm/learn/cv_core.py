@@ -57,7 +57,12 @@ class FoldResult:
 
 
 def _balanced_rows(labels: np.ndarray, seed: int) -> np.ndarray:
-    """Sorted indices of the rows `balance_classes` keeps."""
+    """Sorted indices of the rows kept when the majority class is subsampled to the minority count.
+
+    In practice the majority is the "other" class, whose frames are
+    discarded to match the confirmation frame count. Deterministic for a
+    given seed; raises MissingClass when a class is absent.
+    """
     labels = np.asarray(labels)
     pos_idx = np.flatnonzero(labels > 0)
     neg_idx = np.flatnonzero(labels < 0)
@@ -69,19 +74,6 @@ def _balanced_rows(labels: np.ndarray, seed: int) -> np.ndarray:
     elif neg_idx.size < pos_idx.size:
         pos_idx = np.sort(rng.choice(pos_idx, size=neg_idx.size, replace=False))
     return np.sort(np.concatenate([pos_idx, neg_idx]))
-
-
-def balance_classes(
-    vectors: np.ndarray, labels: np.ndarray, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uniformly subsample the majority class down to the minority count.
-
-    In practice the majority is the "other" class, whose frames are
-    discarded to match the confirmation frame count. Deterministic for a
-    given seed; raises MissingClass when a class is absent.
-    """
-    keep = _balanced_rows(labels, seed)
-    return vectors[keep], np.asarray(labels)[keep]
 
 
 @dataclass(frozen=True)

@@ -103,9 +103,9 @@ def test_criterion_formant_recovery():
             signal = resonator_signal(f1, f2, duration_s=0.3)
             frame = apply_window(signal[2400 : 2400 + FRAME_LEN], window)
             pair = formants(fix_roots(polynomial_roots(lpc_polynomial(lpc(frame)))), FS)
-            worst = max(worst, abs(pair.f1 - f1), abs(pair.f2 - f2))
-            assert abs(pair.f1 - f1) < 50.0, (f1, f2, pair)
-            assert abs(pair.f2 - f2) < 50.0, (f1, f2, pair)
+            worst = max(worst, abs(pair[0] - f1), abs(pair[1] - f2))
+            assert abs(pair[0] - f1) < 50.0, (f1, f2, pair)
+            assert abs(pair[1] - f2) < 50.0, (f1, f2, pair)
     assert t.elapsed < 10.0
     report("formant-recovery", f"(worst {worst:.1f} Hz over 20 pairs, {t.elapsed:.1f}s)")
 

@@ -25,7 +25,7 @@ from nlconfirm.dsp import (
     make_window,
     polynomial_roots,
 )
-from nlconfirm.errors import DegenerateFrame, NumericalFailure
+from nlconfirm.errors import ConfigError, DegenerateFrame, NumericalFailure
 from nlconfirm.evaluate import CvReport, frame_metrics, speaker_frames
 from nlconfirm.featset import FeatureKind, FeatureSetConfig, extract_matrix
 from nlconfirm.learn import SvmHyperParams, load_model
@@ -211,6 +211,21 @@ def test_exit_code_numeric_flag_out_of_range(corpus_dir, model_dir, tmp_path, co
     assert run(command, *inputs[command], *flags, "--out", tmp_path / "o") == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ("--speakers", "0"),
+    ("--segments-per-speaker", "1"),
+    ("--confirmation-rate", "nan"),
+    ("--confirmation-rate", "2"),
+    ("--confirmation-rate", "-0.1"),
+])
+def test_synth_corpus_flag_out_of_range(tmp_path, capsys, flags):
+    out = tmp_path / "corpus"
+    assert run("synth-corpus", "--out", out, "--speakers", 1, "--segments-per-speaker", 2,
+               *flags) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {flags[0]} must be")
+    assert not (out / "manifest.csv").exists()
+
+
 @pytest.mark.parametrize("command, flags", [
     ("grid-search", ("--svm-c", "5")),  # the search never read the --svm-* flags
     ("evaluate", ("--pca-epsilon", "0.9")),  # PCA keeps a fixed 95 % of the variance
@@ -333,6 +348,59 @@ def test_config_file_not_utf8(corpus_dir, tmp_path, capsys):
     assert "run.conf:2: not UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key", [("listen", "manifest"), ("evaluate", "test-manifest")])
+def test_config_file_nul_in_a_path_value(corpus_dir, model_dir, tmp_path, capsys, command, key):
+    config = tmp_path / "run.conf"
+    config.write_bytes(b"seed = 3\n" + key.encode() + b" = c0/man\x00ifest.csv\n")
+    if command == "listen":
+        flags = ("--wav", corpus_dir / "wavs" / "spk00.wav", "--model", model_dir / "model.nlcm")
+    else:
+        flags = ("--manifest", corpus_dir / "manifest.csv", "--features", "mfcc", *FAST_SVM)
+    code = run(command, *flags, "--config", config, "--out", tmp_path / "o")
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err and err.strip().splitlines() == [
+        f"configuration error: {config}:2: NUL byte"]
+
+
+# one byte of each class the config reader tells apart: NUL, line breaks and
+# blanks, comment and key-value separators, quotes, signs, digits, letters, path
+# characters, and bytes that break UTF-8
+_CONFIG_SCAN_BYTES = b"\x00\t\n\r #=\"'-_.,/09Anz\\\x7f\x80\xc3\xff"
+
+
+def test_config_overwrite_and_truncation_apply_or_raise_typed(tmp_path):
+    """Every single-byte overwrite and every truncation of a small config file.
+
+    `_apply_config_file` either makes the values the parser's defaults,
+    none of them holding a NUL, or raises ConfigError.
+    """
+    text = (b"# evaluate settings\n"
+            b"seed = 3\n"
+            b"test-manifest = c0/manifest.csv\n"
+            b"majority_threshold = 0.2\n"
+            b"grid-search = yes\n")
+    cases = [text[:length] for length in range(len(text))]
+    cases += [text[:pos] + bytes([b]) + text[pos + 1:]
+              for pos in range(len(text)) for b in _CONFIG_SCAN_BYTES if b != text[pos]]
+    parser = cli._build_parser()[1]["evaluate"]
+    defaults = {action: action.default for action in parser._actions}
+    config = tmp_path / "run.conf"
+    outcomes = set()
+    for blob in cases:
+        config.write_bytes(blob)
+        try:
+            cli._apply_config_file("evaluate", parser, str(config))
+            outcomes.add("applied")
+            assert not any("\0" in str(action.default) for action in parser._actions), blob
+        except ConfigError:
+            outcomes.add("ConfigError")
+        for action, default in defaults.items():  # the next case starts from a fresh parser
+            action.default = default
+        parser._defaults.clear()
+    assert outcomes == {"applied", "ConfigError"}
+
+
 def test_config_key_model_name_rejected(corpus_dir, tmp_path):
     config = tmp_path / "run.conf"
     config.write_text("model_name = m.nlcm\n")
@@ -410,7 +478,7 @@ def _formant_zero_pairs(segments) -> dict[str, int]:
             except NumericalFailure:
                 counts["formant_root_failures"] += 1
                 continue
-            if formants(fix_roots(roots), 16000).f1 == 0.0:
+            if formants(fix_roots(roots), 16000)[0] == 0.0:
                 counts["formant_no_candidate"] += 1
     return counts
 

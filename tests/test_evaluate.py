@@ -23,8 +23,8 @@ from nlconfirm.learn import cv_core
 from nlconfirm.learn.cv_core import (
     FoldResult,
     SpeakerFrames,
+    _balanced_rows,
     _fold_seed,
-    balance_classes,
     fit_bundle,
     fit_chain,
     run_louo_folds,
@@ -54,7 +54,8 @@ class TestBalance:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((130, 3))
         y = np.concatenate([np.ones(30), -np.ones(100)])
-        bx, by = balance_classes(x, y, seed=1)
+        keep = _balanced_rows(y, seed=1)
+        bx, by = x[keep], y[keep]
         assert np.sum(by > 0) == 30
         assert np.sum(by < 0) == 30
         assert bx.shape == (60, 3)
@@ -62,7 +63,8 @@ class TestBalance:
     def test_already_balanced_unchanged(self):
         x = np.arange(20, dtype=float).reshape(10, 2)
         y = np.array([1.0, -1.0] * 5)
-        bx, by = balance_classes(x, y, seed=0)
+        keep = _balanced_rows(y, seed=0)
+        bx, by = x[keep], y[keep]
         assert np.array_equal(bx, x)
         assert np.array_equal(by, y)
 
@@ -70,15 +72,15 @@ class TestBalance:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((50, 2))
         y = np.concatenate([np.ones(10), -np.ones(40)])
-        a = balance_classes(x, y, seed=7)[0]
-        b = balance_classes(x, y, seed=7)[0]
+        a = x[_balanced_rows(y, seed=7)]
+        b = x[_balanced_rows(y, seed=7)]
         assert np.array_equal(a, b)
-        c = balance_classes(x, y, seed=8)[0]
+        c = x[_balanced_rows(y, seed=8)]
         assert not np.array_equal(a, c)
 
     def test_missing_class(self):
         with pytest.raises(MissingClass):
-            balance_classes(np.zeros((5, 2)), np.ones(5), seed=0)
+            _balanced_rows(np.ones(5), seed=0)
 
 
 class TestRoc:
@@ -394,6 +396,7 @@ class TestGridOracle:
         chain = fit_chain(speakers, config, seed=4)
         x = np.concatenate([s.vectors for s in speakers])
         y = np.concatenate([s.labels for s in speakers])
-        bal_x, bal_y = balance_classes(x, y, seed=4)
+        keep = _balanced_rows(y, seed=4)
+        bal_x, bal_y = x[keep], y[keep]
         assert chain.vectors.tobytes() == chain.normalizer.transform(bal_x).tobytes()
         assert chain.labels.tobytes() == bal_y.tobytes()
