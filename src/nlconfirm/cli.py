@@ -345,7 +345,6 @@ def cmd_listen(args: argparse.Namespace, ctx: RunContext) -> dict:
     with stats.stage("classify"):
         for segment in segments:
             decision = classify_segment(segment, bundle, args.majority_threshold, stats)
-            stats.count("vectors", decision.frame_scores.size)
             trigger = decision.trigger
             if trigger is not None:
                 events.append({

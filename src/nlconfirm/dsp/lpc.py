@@ -25,6 +25,7 @@ a block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,7 +115,9 @@ def lpc(windowed: np.ndarray, order: int = LPC_ORDER) -> LpcResult:
         for j in range(1, k):
             acc += a[j] * r[k - j]
         lam = -(r[k] + acc) / err
-        a[1:k + 1] = [a[j] + lam * a[k - j] for j in range(1, k + 1)]
+        prev = a[:k + 1]
+        for j in range(1, k + 1):
+            a[j] = prev[j] + lam * prev[k - j]
         err *= 1.0 - lam * lam
     return LpcResult(order=order, coefficients=-np.array(a[1:]), gain=max(err, 0.0))
 
@@ -125,9 +128,10 @@ def lpc_polynomial(result: LpcResult) -> np.ndarray:
     A block result gives one polynomial per row.
     """
     coefficients = result.coefficients
-    if coefficients.ndim == 2:
-        return np.concatenate((np.ones((len(coefficients), 1)), -coefficients), axis=1)
-    return np.concatenate(([1.0], -coefficients))
+    polynomial = np.empty(coefficients.shape[:-1] + (coefficients.shape[-1] + 1,))
+    polynomial[..., 0] = 1.0
+    np.negative(coefficients, out=polynomial[..., 1:])
+    return polynomial
 
 
 def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDUAL_TOL) -> np.ndarray:
@@ -137,7 +141,9 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
     comes back with an imaginary part of exactly 0; the result is always
     complex128. Every root r is checked against
     |p(r)| <= tol * sum_i |c_i| |r|^(deg-i); NumericalFailure names the
-    first root that misses that residual bound.
+    first root that misses that residual bound. Leading zero coefficients
+    are dropped and trailing ones give roots at the origin; a polynomial
+    with neither (every LPC polynomial) skips that scan.
 
     A (k, m) block gives (k, m - 1) roots, each row bitwise that of its
     polynomial: the companion matrices of all rows go to one stacked
@@ -155,8 +161,7 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
         roots = np.full((k, m - 1), np.nan, dtype=np.complex128)
         solvable = np.isfinite(c).all(axis=1) & (c[:, 0] != 0.0) & (c[:, -1] != 0.0)
         c = c[solvable]
-        companion = np.zeros((len(c), m - 1, m - 1))
-        companion[:, 1:, :-1] = np.eye(m - 2)
+        companion = np.tile(_subdiagonal(m - 1), (len(c), 1, 1))
         companion[:, 0, :] = -c[:, 1:] / c[:, :1]
         found = np.linalg.eigvals(companion).astype(np.complex128, copy=False)
         # one Horner pass over all rows: [:, 0] is p(r), [:, 1] the bound
@@ -169,6 +174,8 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
         found[(np.abs(value[:, 0]) > residual_tol * value[:, 1].real).any(axis=1)] = np.nan
         roots[solvable] = found
         return roots
+    if c.size >= 2 and abs(c[0]) > 0.0 and c[-1] != 0.0:  # nothing to deflate
+        return _checked_roots(c, 0, residual_tol)
     nonzero = np.flatnonzero(np.abs(c) > 0.0)
     if nonzero.size == 0:
         raise ValueError("zero polynomial has no defined roots")
@@ -180,15 +187,37 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
     while c[-1] == 0.0:
         c = c[:-1]
         tail += 1
-    roots = np.zeros(c.size - 1 + tail, dtype=np.complex128)
+    return _checked_roots(c, tail, residual_tol)
+
+
+@lru_cache(maxsize=16)
+def _subdiagonal(n: int) -> np.ndarray:
+    """Read-only (n, n) companion-matrix template: ones on the sub-diagonal."""
+    template = np.eye(n, k=-1)
+    template.flags.writeable = False
+    return template
+
+
+def _checked_roots(c: np.ndarray, tail: int, residual_tol: float) -> np.ndarray:
+    """Roots of c (nonzero first and last coefficient) and `tail` roots at the origin.
+
+    Each root is checked against the full polynomial, c followed by `tail`
+    zeros; NumericalFailure names the first that misses the residual bound.
+    """
+    m = c.size + tail
+    # row 0 holds the roots r, row 1 max(|r|, 1e-300): one Horner pass gives
+    # p(r) in row 0 and the bound sum_i |c_i| |r|^(deg-i) in row 1
+    point = np.zeros((2, m - 1), dtype=np.complex128)
+    roots = point[0]
     if c.size >= 2:
-        companion = np.eye(c.size - 1, k=-1)
+        companion = _subdiagonal(c.size - 1).copy()
         companion[0, :] = -c[1:] / c[0]
         roots[:c.size - 1] = np.linalg.eigvals(companion)
-    # one Horner pass: row 0 is p(r), row 1 the bound sum_i |c_i| |r|^(deg-i)
-    full = np.concatenate((c, np.zeros(tail)))
-    steps = np.array([full, np.abs(full)], dtype=np.complex128).T[:, :, None]
-    point = np.array([roots, np.maximum(np.abs(roots), 1e-300)])
+    point[1] = np.maximum(np.abs(roots), 1e-300)
+    # step i adds c_i to row 0 and |c_i| to row 1, spelled out per root
+    steps = np.zeros((m, 2, m - 1), dtype=np.complex128)
+    steps[:c.size, 0] = c[:, None]
+    steps[:c.size, 1] = np.abs(c)[:, None]
     value = np.zeros_like(point)
     for step in steps:
         value *= point
@@ -207,10 +236,10 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
 def fix_roots(roots: np.ndarray) -> np.ndarray:
     """Reflect roots outside the unit circle to 1/conj(r); angle is preserved. Any shape."""
     roots = np.asarray(roots, dtype=np.complex128)
-    mags = np.abs(roots)
     out = roots.copy()
-    outside = mags > 1.0
-    out[outside] = 1.0 / np.conj(roots[outside])
+    outside = np.abs(roots) > 1.0
+    if outside.any():
+        out[outside] = 1.0 / np.conj(roots[outside])
     return out
 
 
@@ -227,7 +256,7 @@ def formants(roots: np.ndarray, sample_rate: int) -> np.ndarray:
     a NaN root gives a NaN pair.
     """
     roots = np.asarray(roots, dtype=np.complex128)
-    angle = np.angle(roots)
+    angle = np.arctan2(roots.imag, roots.real)
     freq = angle * sample_rate / (2.0 * np.pi)
     # freq >= FORMANT_MIN_HZ > 0 implies angle > 0, hence |r| > 0
     upper = (freq >= FORMANT_MIN_HZ) & (angle < np.pi)
@@ -242,4 +271,4 @@ def formants(roots: np.ndarray, sample_rate: int) -> np.ndarray:
         pair[np.isnan(roots).any(axis=1)] = np.nan
         return pair
     kept = freq[upper][bandwidth <= FORMANT_MAX_BANDWIDTH_HZ]
-    return np.array((np.sort(kept).tolist() + [0.0, 0.0])[:2])
+    return np.array((sorted(kept.tolist()) + [0.0, 0.0])[:2])

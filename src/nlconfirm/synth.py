@@ -24,6 +24,14 @@ CONTROL_BLOCK = 160  # resonator coefficients update every 10 ms
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Shape of a synthetic corpus.
+
+    Each speaker gets `segments_per_speaker` segments, of which
+    round(confirmation_rate * segments_per_speaker) are confirmations, but
+    never fewer than 2: a rate of 0 still gives 2 confirmations per
+    speaker, and 2 segments per speaker leave no "other" segment.
+    """
+
     speakers: int = 10
     segments_per_speaker: int = 40
     confirmation_rate: float = 0.08
@@ -114,7 +122,11 @@ def _other_token(rng: np.random.Generator, f0_median: float, cfg: SynthConfig) -
 
 
 def generate_corpus(out_dir: str | Path, config: SynthConfig = SynthConfig()) -> Path:
-    """Write per-speaker WAVs plus manifest.csv and meta.json; returns the manifest path."""
+    """Write per-speaker WAVs plus manifest.csv and meta.json; returns the manifest path.
+
+    Every speaker gets at least 2 confirmations, whatever the rate (see
+    SynthConfig).
+    """
     out_dir = Path(out_dir)
     wav_dir = out_dir / "wavs"
     wav_dir.mkdir(parents=True, exist_ok=True)

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -121,23 +122,30 @@ def test_evaluate_writes_reports(corpus_dir, tmp_path):
 
 def test_run_metadata_records_stages_and_counters(corpus_dir, model_dir, tmp_path):
     manifest = corpus_dir / "manifest.csv"
-    frames = sum((len(s.samples) - 400) // 160 + 1 for s in load_segments(manifest))
+    wav = corpus_dir / "wavs" / "spk00.wav"
+    segments = load_segments(manifest)
+    frames = sum((len(s.samples) - 400) // 160 + 1 for s in segments)
+    # listen streams the manifest's spans of the one WAV it is given
+    listened = sum((len(s.samples) - 400) // 160 + 1 for s in segments
+                   if Path(s.source_id).name == wav.name)
+    model = model_dir / "model.nlcm"
     commands = {
-        "extract": (("--features", "stacked_mfcc"), {"load", "extract"}),
-        "train": (("--features", "mfcc", *FAST_SVM), {"load", "extract", "fit"}),
-        "classify": (("--model", model_dir / "model.nlcm"), {"load", "classify"}),
+        "extract": (("--features", "stacked_mfcc"), {"load", "extract"}, frames),
+        "train": (("--features", "mfcc", *FAST_SVM), {"load", "extract", "fit"}, frames),
+        "classify": (("--model", model), {"load", "classify"}, frames),
+        # evaluate extracts the same manifest twice: training frames, then test frames
         "evaluate": (("--features", "mfcc", "--test-manifest", manifest, *FAST_SVM),
-                     {"load", "extract", "search", "fit", "classify"}),
+                     {"load", "extract", "search", "fit", "classify"}, 2 * frames),
+        "listen": (("--wav", wav, "--model", model), {"load", "classify"}, listened),
     }
-    for command, (flags, stages) in commands.items():
+    for command, (flags, stages, expected_frames) in commands.items():
         out = tmp_path / command
         assert run(command, "--manifest", manifest, *flags, "--out", out) == 0
         meta = json.loads((out / "run_metadata.json").read_text())
         assert set(meta["stages"]) == stages, command
         assert all(seconds >= 0.0 for seconds in meta["stages"].values())
         assert sum(meta["stages"].values()) <= meta["duration_s"] + 1e-3
-        # evaluate extracts the same manifest twice: training frames, then test frames
-        assert meta["counters"]["frames"] == frames * (2 if command == "evaluate" else 1)
+        assert meta["counters"]["frames"] == expected_frames, command
         assert 0 < meta["counters"]["vectors"] <= meta["counters"]["frames"]
 
 
@@ -156,6 +164,26 @@ def test_evaluate_scores_equal_streamed_scores(corpus_dir, tmp_path, monkeypatch
     streamed = np.concatenate([classify_segment(segment, bundle).frame_scores
                                for segment in load_segments(manifest)])
     assert np.array_equal(evaluated[0], streamed)
+
+
+def test_readme_library_example_runs(corpus_dir, model_dir, tmp_path, monkeypatch, capsys):
+    # the README's python block, run where it expects corpus/ and model/
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library_use = readme.split("## Library use", 1)[1]
+    code = library_use.split("```python\n", 1)[1].split("```", 1)[0]
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    shutil.copytree(model_dir, tmp_path / "model")
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    bundle = load_model(model_dir / "model.nlcm")
+    expected = []
+    for segment in load_segments(corpus_dir / "manifest.csv"):
+        trigger = classify_segment(segment, bundle).trigger
+        if trigger is not None:
+            expected.append(f"{segment.segment_id} confirmation at vote frame {trigger.frame_index}")
+    assert expected and printed == expected
 
 
 def test_grid_searched_cv_report_equals_folds_at_best_point(corpus_dir, tmp_path):

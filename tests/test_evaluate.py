@@ -1,5 +1,6 @@
 """Balancing, ROC/AUC, confusion metrics, cross-validation and grid search."""
 
+import math
 import typing
 
 import numpy as np
@@ -200,6 +201,16 @@ class TestWeightedAccuracy:
         w = weighted_accuracy(folds)
         assert min(f.accuracy for f in folds) <= w <= max(f.accuracy for f in folds)
 
+    def test_sums_left_to_right_on_every_python(self):
+        # ten 0.1s sum to 0.9999999999999999 left to right and to 1.0 compensated,
+        # which `sum()` does from Python 3.12 on
+        folds = [FoldResult(str(i), accuracy=0.1, weight=1, n_test=10) for i in range(10)]
+        in_order = 0.0
+        for _ in range(10):
+            in_order += 0.1
+        assert in_order != math.fsum([0.1] * 10)
+        assert weighted_accuracy(folds) == in_order / 10
+
 
 def _two_speaker_segments():
     rng = np.random.default_rng(6)
@@ -339,8 +350,11 @@ class TestGridOracle:
         for params in sorted(DEFAULT_GRID, key=lambda p: (p.C, p.eps, p.gamma)):
             folds = reference_fold_accuracies(speakers, config, params, seed=5)
             weights = [s.weight for s in speakers]
-            expected[params] = (folds, sum(a * w for (_, a), w in zip(folds, weights))
-                                / sum(weights))
+            weighted = total = 0.0
+            for (_, a), w in zip(folds, weights):  # left to right, as on Python 3.11
+                weighted += a * w
+                total += w
+            expected[params] = (folds, weighted / total)
         assert [p.params for p in result.points] == list(expected)
         for point in result.points:
             folds, weighted = expected[point.params]

@@ -463,6 +463,83 @@ class TestBlockPartition:
         assert indices == range(STACK_DEPTH - 1, STACK_DEPTH)  # the empty block consumed nothing
 
 
+def frame_by_frame(config: FeatureSetConfig, stats: Stats) -> StreamingExtractor:
+    """An extractor that holds no warm-up frame: every push runs the per-frame chain."""
+    extractor = StreamingExtractor(config, stats)
+    extractor._warm_up = extractor._warm_up[:0]
+    return extractor
+
+
+class TestWarmUp:
+    """Held warm-up frames, extracted as one block, against pushing frame by frame."""
+
+    @pytest.mark.parametrize("kind", [FeatureKind.STACKED_FORMANTS, FeatureKind.FORMANT_SD,
+                                      FeatureKind.MFCC_DELTA, FeatureKind.STACKED_MFCC])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_pushes_and_blocks_equal_frame_by_frame(self, kind, data):
+        config = FeatureSetConfig(kind)
+        warm_up = featset.DELTA_LAG if kind is FeatureKind.MFCC_DELTA else STACK_DEPTH - 1
+        held, pushed = Stats(), Stats()
+        extractor, reference = StreamingExtractor(config, held), frame_by_frame(config, pushed)
+        lengths = data.draw(st.lists(st.integers(1, 2 * STACK_DEPTH + 2), min_size=1, max_size=3),
+                            label="segment lengths")
+        for s, n in enumerate(lengths):
+            frames = special_frames(n, seed=n + s) if s % 2 else voiced_frames(n, seed=n + s)
+            if data.draw(st.booleans(), label="reset during warm-up"):
+                # part of a warm-up, then reset: the held frames still count their zero pairs
+                warm = special_frames(warm_up, seed=s)[: data.draw(
+                    st.integers(1, warm_up), label="warm-up frames")]
+                for target in (extractor, reference):
+                    for frame in warm:
+                        assert not target.push(frame)[0]
+                    target.reset()
+            sizes = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=n), label="blocks")
+            indices, rows = [], []
+            for block in _cut(frames, sizes):  # a block of one is a push
+                if len(block) == 1:
+                    got, matrix = extractor.push(block[0])
+                else:
+                    got, matrix = extractor.push_block(block)
+                indices += got
+                rows += list(matrix)
+            got, matrix = extractor.finish()
+            want = stream(reference, frames)
+            assert indices + list(got) == want[0]
+            assert np.array(rows + list(matrix)).tobytes() == np.array(want[1]).tobytes()
+            assert held.counters == pushed.counters
+            extractor.reset()
+            reference.reset()
+
+    def test_the_completing_push_extracts_one_block(self, monkeypatch):
+        config = FeatureSetConfig(FeatureKind.STACKED_FORMANTS)
+        calls = []
+        def rows(windowed, stats):
+            calls.append(len(windowed))
+            return np.zeros((len(windowed), 2))
+
+        def pair(windowed, stats):
+            calls.append(1)
+            return np.zeros(2)
+
+        monkeypatch.setattr(featset, "_formant_rows", rows)
+        monkeypatch.setattr(featset, "_formant_pair", pair)
+        extractor = StreamingExtractor(config)
+        frames = voiced_frames(STACK_DEPTH + 2)
+        for frame in frames[: STACK_DEPTH - 1]:
+            assert not extractor.push(frame)[0]
+        assert calls == [1]  # the first frame is extracted, the next 13 are held
+        assert extractor.push(frames[STACK_DEPTH - 1])[0] == range(STACK_DEPTH - 1, STACK_DEPTH)
+        assert calls == [1, STACK_DEPTH - 1]
+        extractor.push(frames[STACK_DEPTH])
+        assert calls == [1, STACK_DEPTH - 1, 1]  # later pushes take the per-frame chain
+        extractor.reset()
+        for frame in frames[:5]:
+            extractor.push(frame)
+        extractor.finish()  # a segment too short for a vector: its frames are still extracted
+        assert calls == [1, STACK_DEPTH - 1, 1, 1, 4]
+
+
 _ROW_KINDS = ("silent", "subnormal", "constant", "sine", "noise", "voiced")
 
 

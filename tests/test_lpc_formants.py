@@ -275,6 +275,29 @@ class TestResidualCheckOracle:
             assert polynomial_roots(poly).tobytes() == want.tobytes()
 
 
+def _roots_or_failure(coefficients, tol):
+    """The roots' bytes, or the type and message of what the call raised."""
+    try:
+        return polynomial_roots(coefficients, residual_tol=tol).tobytes()
+    except Exception as exc:  # NumericalFailure, or eigvals' LinAlgError on overflow
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestUndeflatedPath:
+    """A polynomial with nonzero first and last coefficients skips the deflation scan."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing Horner steps
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 14).flatmap(lambda degree: st.lists(
+               st.floats(-1e3, 1e3).filter(lambda v: v != 0.0), min_size=degree + 1,
+               max_size=degree + 1)),
+           st.sampled_from([1e-300, 1e-15, 1e-14, 1e-13, 1e-6]))
+    def test_equals_the_deflating_path(self, coefficients, tol):
+        # a leading zero sends the same polynomial through the deflation scan
+        c = np.array(coefficients)
+        assert _roots_or_failure(c, tol) == _roots_or_failure(np.concatenate(([0.0], c)), tol)
+
+
 def _reference_lpc(frame, order=12):
     """numpy Levinson-Durbin: lags from one np.dot each, the recursion on arrays.
 
