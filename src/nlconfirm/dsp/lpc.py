@@ -141,17 +141,22 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
     comes back with an imaginary part of exactly 0; the result is always
     complex128. Every root r is checked against
     |p(r)| <= tol * sum_i |c_i| |r|^(deg-i); NumericalFailure names the
-    first root that misses that residual bound. Leading zero coefficients
-    are dropped and trailing ones give roots at the origin; a polynomial
-    with neither (every LPC polynomial) skips that scan.
+    first root that misses that residual bound. It is also raised when the
+    companion row -c[1:] / c[0] is not finite: a leading coefficient so
+    small (subnormal, say) that the row overflows, or a NaN or infinite
+    coefficient after the first. Leading zero
+    coefficients are dropped and trailing ones give roots at the origin; a
+    polynomial with neither (every LPC polynomial) skips that scan.
 
     A (k, m) block gives (k, m - 1) roots, each row bitwise that of its
     polynomial: the companion matrices of all rows go to one stacked
     `np.linalg.eigvals` call, and one Horner pass checks every root. Rows
     the 1-D call would solve at a lower degree (a zero first or last
     coefficient), cannot solve (NaN or infinite coefficients) or would
-    reject (a root that misses the residual bound) are NaN; the block call
-    itself does not raise NumericalFailure.
+    reject (an overflowing companion row, a root that misses the residual
+    bound) are NaN; the block call itself does not raise NumericalFailure.
+    Neither call catches the LinAlgError of an `eigvals` that does not
+    converge.
     """
     c = np.atleast_1d(np.asarray(coefficients, dtype=np.float64))
     if c.ndim == 2:
@@ -159,10 +164,13 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
         if m < 2:
             raise ValueError("polynomial degree must be >= 1")
         roots = np.full((k, m - 1), np.nan, dtype=np.complex128)
-        solvable = np.isfinite(c).all(axis=1) & (c[:, 0] != 0.0) & (c[:, -1] != 0.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            top = -c[:, 1:] / c[:, :1]  # the companion rows; a tiny c[0] overflows them
+        solvable = (np.isfinite(c).all(axis=1) & np.isfinite(top).all(axis=1)
+                    & (c[:, 0] != 0.0) & (c[:, -1] != 0.0))
         c = c[solvable]
         companion = np.tile(_subdiagonal(m - 1), (len(c), 1, 1))
-        companion[:, 0, :] = -c[:, 1:] / c[:, :1]
+        companion[:, 0, :] = top[solvable]
         found = np.linalg.eigvals(companion).astype(np.complex128, copy=False)
         # one Horner pass over all rows: [:, 0] is p(r), [:, 1] the bound
         steps = np.stack((c, np.abs(c)), axis=1).astype(np.complex128)
@@ -211,7 +219,10 @@ def _checked_roots(c: np.ndarray, tail: int, residual_tol: float) -> np.ndarray:
     roots = point[0]
     if c.size >= 2:
         companion = _subdiagonal(c.size - 1).copy()
-        companion[0, :] = -c[1:] / c[0]
+        with np.errstate(over="ignore"):
+            companion[0, :] = -c[1:] / c[0]  # a tiny c[0] overflows it
+        if not np.isfinite(companion[0]).all():  # the block call's test of its rows
+            raise NumericalFailure(f"companion row of {c.tolist()} is not finite")
         roots[:c.size - 1] = np.linalg.eigvals(companion)
     point[1] = np.maximum(np.abs(roots), 1e-300)
     # step i adds c_i to row 0 and |c_i| to row 1, spelled out per root

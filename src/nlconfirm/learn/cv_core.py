@@ -12,12 +12,13 @@ audio code.
 the folds. Each fold fits on every other speaker and scores the held-out
 speaker's frames unbalanced. The chain and the squared-distance matrix
 do not depend on the SVM parameters, so each fold builds them once, takes
-one RBF kernel per gamma and one SMO run per (C, gamma), which yields the
-models of every eps (`smo_path`). Every model is bit for bit the one
+one RBF kernel per gamma and one SMO run per (C, gamma), which yields
+the models of every eps (`smo_path`). Every model is bit for bit the one
 `fit_bundle` trains for its point. Scoring works on blocks too: the
 held-out rows are projected once per fold, and each gamma takes one
-kernel against the union of its models' support rows. Those values match
-`decide_many` up to the low bits, and fold accuracy counts signs only.
+kernel against the union of its models' support rows and one product of
+it with all its models' signed alphas. Those values match `decide_many`
+up to the low bits, and fold accuracy counts signs only.
 """
 
 from __future__ import annotations
@@ -184,9 +185,10 @@ def run_louo_folds(
     distance matrix and kernel are dropped. The fold's models share one
     normalizer and PCA, so the held-out rows are projected once. Per
     gamma, one kernel between them and the union of that gamma's support
-    rows gives every model's values as a column subset times its signed
-    alphas. These differ from `decide_many` in the low bits only (the
-    BLAS sums run over other column sets); fold accuracy counts signs.
+    rows, times one (union, models) matrix of signed alphas that is zero
+    off each model's support, gives every model's values in one product.
+    These differ from `decide_many` in the low bits only (the BLAS sums
+    run over the union, zeros included); fold accuracy counts signs.
     """
     if len(speakers) < 2:
         raise MissingClass("leave-one-user-out needs at least two speakers")
@@ -202,13 +204,17 @@ def run_louo_folds(
             kernel = squared_distances(z, chain.vectors[union])
             kernel *= -gamma
             np.exp(kernel, out=kernel)
-            for k in members:
-                svm = bundles[k].svm
-                values = kernel[:, np.flatnonzero(supports[k][union])] @ svm.alphas_signed
-                predicted = np.where(values + svm.bias > 0.0, 1.0, -1.0)
+            signed = np.zeros((np.count_nonzero(union), len(members)))
+            for column, k in enumerate(members):
+                signed[supports[k][union], column] = bundles[k].svm.alphas_signed
+            values = kernel @ signed
+            values += [bundles[k].svm.bias for k in members]
+            predicted = np.where(values > 0.0, 1.0, -1.0)
+            accuracies = np.mean(predicted == held_out.labels[:, None], axis=0)
+            for column, k in enumerate(members):
                 results[k].append(FoldResult(
                     speaker_id=held_out.speaker_id,
-                    accuracy=float(np.mean(predicted == held_out.labels)),
+                    accuracy=float(accuracies[column]),
                     weight=held_out.weight,
                     n_test=held_out.labels.size,
                 ))

@@ -6,8 +6,17 @@ KKT-violating pair: i maximizing and j minimizing -y grad over the
 admissible index sets. Convergence is declared when the violation gap
 drops to the stopping tolerance. The kernel matrix is precomputed and
 symmetric, so an iteration reads two contiguous kernel rows (as LIBSVM's
-solver reads rows of Q) and updates the admissible sets at the two
-indices it changed; its scalar work runs on Python floats.
+solver reads rows of Q); its scalar work runs on Python floats. The loop
+keeps no gradient: two arrays hold the score -y grad, one on the up set
+and -inf off it, one on the low set and +inf off it. Each iteration
+updates both in place with one kernel-row difference, and a row that
+changes sets takes its score from the other array. The iterates carry
+the bits of the gradient form: only an exactly zero score can differ,
+in its sign, and scores are signed on reading.
+
+`squared_distances` writes its result over the Gram matrix in row
+chunks, so it needs one output-sized buffer, and `rbf_kernel`
+exponentiates that buffer in place.
 
 The iterates do not depend on the tolerance, which only decides when the
 loop stops. `smo_path` therefore runs once for several tolerances and
@@ -27,6 +36,7 @@ from ..errors import ConvergenceFailure, DimensionMismatch, SingleClass
 MAX_ITERATIONS = 1_000_000
 _SNAP = 1e-12  # relative distance at which alphas snap onto a box bound
 _CHUNK_ELEMENTS = 1 << 15  # differences per batch-scoring chunk (256 KiB, kept in cache)
+_DISTANCE_CHUNK_ELEMENTS = 1 << 13  # distances per chunk of squared_distances (64 KiB)
 
 
 @dataclass(frozen=True)
@@ -64,19 +74,29 @@ class SvmModel:
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, (len(a), len(b))."""
+    """Pairwise squared Euclidean distances, (len(a), len(b)).
+
+    (|a|^2 + |b|^2) - 2 a.b, clipped at 0, written over the Gram matrix a @ b.T
+    in row chunks of about _DISTANCE_CHUNK_ELEMENTS, so the result is the one
+    (len(a), len(b)) buffer.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    # (|a|^2 + |b|^2) - 2 a.b, clipped at 0, in two (len(a), len(b)) buffers
-    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
-    gram = a @ b.T
-    gram *= 2.0
-    d2 -= gram
-    return np.maximum(d2, 0.0, out=d2)
+    sq_a, sq_b = (a * a).sum(axis=1), (b * b).sum(axis=1)
+    d2 = a @ b.T
+    rows = max(1, _DISTANCE_CHUNK_ELEMENTS // max(1, d2.shape[1]))
+    for lo in range(0, d2.shape[0], rows):
+        gram = d2[lo:lo + rows]
+        gram *= 2.0
+        np.subtract(sq_a[lo:lo + rows, None] + sq_b, gram, out=gram)
+        np.maximum(gram, 0.0, out=gram)
+    return d2
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    return np.exp(-gamma * squared_distances(a, b))
+    kernel = squared_distances(a, b)
+    kernel *= -gamma
+    return np.exp(kernel, out=kernel)
 
 
 def smo_path(
@@ -103,29 +123,28 @@ def smo_path(
     if not tolerances:
         raise ValueError("smo_path needs at least one tolerance")
     y = np.asarray(labels, dtype=np.float64)
-    n = y.size
-    neg_y = -y
     pos = y > 0
-    grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
-    score = neg_y * grad
-    up = pos.copy()  # admissible sets at alpha = 0, then kept at the changed indices
-    low = ~pos
-    change = np.empty(n)
+    # -y * grad on each admissible set, -inf / +inf off it. At alpha = 0 the
+    # gradient is -1, so the score is y: up holds the positive rows, low the negative
+    up_score = np.where(pos, y, -np.inf)
+    low_score = np.where(pos, np.inf, y)
+    change = np.empty(y.size)
     # scalar work on Python floats: the same doubles as numpy scalars, without their overhead
     C = float(C)
-    alpha = [0.0] * n
+    alpha = [0.0] * y.size
     y_list, pos_list = y.tolist(), pos.tolist()
+    up, low = pos_list.copy(), [not p for p in pos_list]
     diagonal = kernel.diagonal().tolist()
     snap_low, snap_high = _SNAP * C, C * (1.0 - _SNAP)
     pending = sorted(range(len(tolerances)), key=tolerances.__getitem__)  # largest last
     snapshots: list = [None] * len(tolerances)
 
     for iteration in range(max_iterations):
-        up_score = np.where(up, score, -np.inf)
-        low_score = np.where(low, score, np.inf)
         i = int(up_score.argmax())
         j = int(low_score.argmin())
-        score_i, score_j = up_score.item(i), low_score.item(j)
+        # an exactly zero score takes the sign of -y * (+0.0), as -y * grad gives it
+        score_i = up_score.item(i) or (-0.0 if pos_list[i] else 0.0)
+        score_j = low_score.item(j) or (-0.0 if pos_list[j] else 0.0)
         gap = score_i - score_j
         if gap <= tolerances[pending[-1]]:
             bias = (score_i + score_j) / 2.0
@@ -147,17 +166,22 @@ def smo_path(
             elif alpha[k] > snap_high:
                 alpha[k] = C
             above_zero, below_c = alpha[k] > 0.0, alpha[k] < C
-            up[k] = below_c if pos_list[k] else above_zero
-            low[k] = above_zero if pos_list[k] else below_c
-        # grad += y * step * (K[:, i] - K[:, j]); y * (step * d) rounds |step * d| once,
-        # as (y * step) * d does, so the doubles are the same. The score is taken from
-        # grad, not updated as score - step * d: where that cancels to zero it gives
-        # +0.0 and -y * grad gives -0.0, which reaches the bias.
+            in_up = below_c if pos_list[k] else above_zero
+            in_low = above_zero if pos_list[k] else below_c
+            if in_up != up[k] or in_low != low[k]:
+                # every row is in at least one set; a row entering a set takes the
+                # score held by the set it was in
+                value = up_score.item(k) if up[k] else low_score.item(k)
+                up_score[k] = value if in_up else -np.inf
+                low_score[k] = value if in_low else np.inf
+                up[k], low[k] = in_up, in_low
+        # score - step * (K[:, i] - K[:, j]) has the bits of -y * (grad + y * step * d)
+        # wherever it is not zero: y = +-1 only flips signs, and rounding is symmetric.
+        # Where it cancels to zero the sign can differ, so zeros are signed on reading.
         np.subtract(row_i, row_j, out=change)
         change *= step
-        change *= y
-        grad += change
-        np.multiply(neg_y, grad, out=score)
+        up_score -= change
+        low_score -= change
 
     raise ConvergenceFailure(
         f"SMO did not reach tolerance {tolerances[pending[0]]} within {max_iterations} iterations"

@@ -687,3 +687,43 @@ class TestResidualMissRow:
         formant_counters = TestFormantCounters._counters
         assert formant_counters(block) == formant_counters(pushed)
         assert formant_counters(block)["formant_root_failures"] == 1
+
+
+class TestOverflowRow:
+    """A block row whose companion row overflows, among rows whose roots solve."""
+
+    def test_only_the_overflowing_row_is_rerun_and_counted(self, monkeypatch):
+        window = make_window(WindowKind.HANN, FRAME_LEN)
+        frames = voiced_frames(20)
+        windowed = [apply_window(f.samples, window) for f in frames]
+        bad = 9
+        bad_coefficients = lpc(windowed[bad]).coefficients.tobytes()
+
+        def tiny_lead(result):
+            # the bad frame's polynomial leads with a subnormal, in a block as alone
+            polynomial = lpc_polynomial(result)
+            rows = np.atleast_2d(polynomial)
+            for row, coefficients in zip(rows, np.atleast_2d(result.coefficients)):
+                if coefficients.tobytes() == bad_coefficients:
+                    row[0] = 2.2e-311
+            return polynomial
+
+        monkeypatch.setattr(featset, "lpc_polynomial", tiny_lead)
+        rerun = []
+        formant_pair = featset._formant_pair
+
+        def spy(w, stats=None):
+            pair = formant_pair(w, stats)
+            rerun.append((w.tobytes(), pair.tolist()))
+            return pair
+
+        monkeypatch.setattr(featset, "_formant_pair", spy)
+        block = Stats()
+        _, rows = extract_matrix(frames, FeatureSetConfig(FeatureKind.FORMANT_SD), block)
+        assert rerun == [(windowed[bad].tobytes(), [0.0, 0.0])]  # the zero pair
+        assert TestFormantCounters._counters(block)["formant_root_failures"] == 1
+        pushed = Stats()
+        _, stream_rows = stream(StreamingExtractor(FeatureSetConfig(FeatureKind.FORMANT_SD), pushed),
+                                frames)
+        assert rows.tobytes() == np.array(stream_rows).tobytes()
+        assert TestFormantCounters._counters(block) == TestFormantCounters._counters(pushed)

@@ -113,6 +113,22 @@ class TestPolynomialRoots:
         with pytest.raises(ValueError):
             polynomial_roots([3.0])
 
+    # 2^-1024 is the largest leading coefficient for which -1 / c[0] overflows
+    OVERFLOW_EDGE = float.fromhex("0x0.4000000000000p-1022")
+
+    @pytest.mark.parametrize("coefficients", [
+        [2.2e-311, 1.0], [1e-300, 1e10, 1.0], [OVERFLOW_EDGE, 1.0], [-OVERFLOW_EDGE, 1.0],
+        [1.0, np.inf], [1.0, -np.inf, 2.0], [1.0, np.nan, 2.0]])
+    def test_a_non_finite_companion_row_is_a_numerical_failure(self, coefficients):
+        with pytest.raises(NumericalFailure, match="companion row"):
+            polynomial_roots(coefficients)
+        assert np.isnan(polynomial_roots([coefficients])).all()
+
+    def test_the_smallest_leading_coefficient_that_fits(self):
+        lead = np.nextafter(self.OVERFLOW_EDGE, 1.0)
+        roots = polynomial_roots([lead, 1.0])
+        assert roots.tolist() == [complex(-1.0 / lead, 0.0)] and np.isfinite(roots).all()
+
 
 class TestFixRoots:
     def test_reflection(self):
@@ -279,7 +295,7 @@ def _roots_or_failure(coefficients, tol):
     """The roots' bytes, or the type and message of what the call raised."""
     try:
         return polynomial_roots(coefficients, residual_tol=tol).tobytes()
-    except Exception as exc:  # NumericalFailure, or eigvals' LinAlgError on overflow
+    except Exception as exc:  # NumericalFailure, or a LinAlgError of eigvals
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -502,6 +518,22 @@ class TestBlocks:
         got = polynomial_roots(block)
         assert got[0].tobytes() == polynomial_roots(block[0]).tobytes()
         assert np.isnan(got[1:]).all()
+
+    def test_an_overflowing_row_among_good_rows_is_nan(self):
+        good = [lpc_polynomial(lpc(np.sin(w * np.arange(400)) + 0.01 * np.cos(3 * w * np.arange(400))))
+                for w in (0.2, 0.3, 0.5)]
+        bad = good[1].copy()
+        bad[0] = 2.2e-311  # -bad[1:] / bad[0] overflows
+        with pytest.raises(NumericalFailure):
+            polynomial_roots(bad)
+        got = polynomial_roots(np.stack([good[0], bad, good[1], good[2]]))
+        assert np.isnan(got[1]).all()
+        for row, poly in zip(got[[0, 2, 3]], good):
+            assert row.tobytes() == polynomial_roots(poly).tobytes()
+        edge = TestPolynomialRoots.OVERFLOW_EDGE
+        got = polynomial_roots([[edge, 1.0], [np.nextafter(edge, 1.0), 1.0]])
+        assert np.isnan(got[0]).all()
+        assert got[1].tobytes() == polynomial_roots([np.nextafter(edge, 1.0), 1.0]).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(root_blocks())

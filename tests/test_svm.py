@@ -15,7 +15,14 @@ from nlconfirm.learn import (
     rbf_kernel,
     train_svm,
 )
-from nlconfirm.learn.svm import _SNAP, decision_values, smo_path, smo_solve, squared_distances
+from nlconfirm.learn.svm import (
+    _DISTANCE_CHUNK_ELEMENTS,
+    _SNAP,
+    decision_values,
+    smo_path,
+    smo_solve,
+    squared_distances,
+)
 
 
 def blobs(n_per_class=40, separation=4.0, seed=0, dim=2):
@@ -72,6 +79,37 @@ class TestKernel:
         k = rbf_kernel(x, x, gamma)
         assert d2.tobytes() == np.ascontiguousarray(d2.T).tobytes()
         assert k.tobytes() == np.ascontiguousarray(k.T).tobytes()
+
+
+def two_buffer_squared_distances(a, b):
+    """(|a|^2 + |b|^2) - 2 a.b, clipped at 0, with the sums and the Gram matrix in two buffers."""
+    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+    gram = a @ b.T
+    gram *= 2.0
+    d2 -= gram
+    return np.maximum(d2, 0.0, out=d2)
+
+
+class TestChunkedDistances:
+    """`squared_distances` in row chunks and the in-place `rbf_kernel` keep the two-buffer bits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(0, 300), d=st.integers(1, 40), chunks=st.integers(0, 2),
+           offset=st.sampled_from([-1, 0, 1]), same=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 30.0]), gamma=st.sampled_from([0.005, 0.05, 0.5]))
+    def test_equal_bytes_to_two_buffers(self, m, d, chunks, offset, same, seed, scale, gamma):
+        # n rows: below, at or one above a multiple of the rows per chunk (0 rows included),
+        # against m other rows (held-out rows x support rows); or m rows against themselves
+        n = m if same else max(0, chunks * (_DISTANCE_CHUNK_ELEMENTS // max(1, m)) + offset)
+        rng = np.random.default_rng(seed)
+        a = scale * rng.standard_normal((n, d))
+        b = a if same else scale * rng.standard_normal((m, d))
+        want = two_buffer_squared_distances(a, b)
+        got = squared_distances(a, b)
+        assert got.shape == want.shape == (n, len(b))
+        assert got.tobytes() == want.tobytes()
+        kernel = rbf_kernel(a, b, gamma)
+        assert kernel.tobytes() == np.exp(-gamma * two_buffer_squared_distances(a, b)).tobytes()
 
 
 class TestTraining:
@@ -181,7 +219,7 @@ class TestSnapshotPath:
         seed=st.integers(0, 2**32 - 1),
         n_per_class=st.integers(2, 30),
         separation=st.floats(0.0, 3.0),
-        C=st.sampled_from([0.5, 1.0, 5.0]),
+        C=st.sampled_from([0.05, 0.5, 1.0, 5.0]),
         gamma=st.sampled_from([0.005, 0.05, 0.5]),
         tolerances=st.lists(st.sampled_from([0.001, 0.005, 0.05, 0.1, 0.5, 2.0]),
                             min_size=1, max_size=6),
@@ -220,6 +258,20 @@ class TestSnapshotPath:
         alpha, bias, iterations = smo_path(kernel, y, 5.0, [0.005])[0]
         ref_alpha, ref_bias, ref_iterations = reference_smo(kernel, y, 5.0, 0.005, 1_000_000)
         assert np.float64(ref_bias).tobytes() == np.float64(-0.0).tobytes()
+        assert alpha.tobytes() == ref_alpha.tobytes()
+        assert np.float64(bias).tobytes() == np.float64(ref_bias).tobytes()
+        assert iterations == ref_iterations
+
+    @pytest.mark.parametrize("eps", [0.005, 1.9])
+    def test_a_step_clipped_at_the_box_swaps_both_rows_sets(self, eps):
+        # the unclipped step is 1 / (1 - exp(-0.5)) = 2.54 > C: the positive row goes
+        # from 0 to C, leaving the up set and entering the low set in one iteration,
+        # and the negative row the other way; the next iteration reads both moved scores
+        x, y = np.array([[0.0], [1.0]]), np.array([1.0, -1.0])
+        kernel = rbf_kernel(x, x, 0.5)
+        alpha, bias, iterations = smo_path(kernel, y, 0.05, [eps])[0]
+        ref_alpha, ref_bias, ref_iterations = reference_smo(kernel, y, 0.05, eps, 1_000_000)
+        assert ref_alpha.tolist() == [0.05, 0.05] and ref_iterations == 1
         assert alpha.tobytes() == ref_alpha.tobytes()
         assert np.float64(bias).tobytes() == np.float64(ref_bias).tobytes()
         assert iterations == ref_iterations
