@@ -13,7 +13,6 @@ from .corpus import (
     SAMPLE_RATE,
     AudioBuffer,
     AudioSegment,
-    CorpusSplit,
     Frame,
     Label,
     SegmentDescriptor,
@@ -34,7 +33,6 @@ from .featset import (
     StreamingExtractor,
     extract,
     feature_matrix,
-    window_kind_for,
 )
 from .learn import (
     DEFAULT_GRID,

@@ -31,6 +31,8 @@ from .corpus import (
     frame_stream,
     load_segments,
     load_wav,
+    manifest_segment,
+    parse_manifest,
     split_corpus,
     vad_segments,
 )
@@ -275,8 +277,7 @@ def cmd_evaluate(args: argparse.Namespace, ctx: RunContext) -> dict:
             test_segments = load_segments(args.test_manifest)
         else:
             segments = load_segments(args.manifest)
-            split = split_corpus(segments, args.train_fraction, args.seed)
-            train_segments, test_segments = split.train, split.test
+            train_segments, test_segments = split_corpus(segments, args.train_fraction, args.seed)
     header = (f"{'feature set':<18} {'dim':>9} {'cv accuracy':>15} "
               f"{'TPR%':>6} {'FPR%':>6} {'AUC':>6} {'seg acc':>8}")
     print(header)
@@ -330,9 +331,9 @@ def cmd_listen(args: argparse.Namespace, ctx: RunContext) -> dict:
     with stats.stage("load"):
         bundle = load_model(args.model)
         audio = load_wav(args.wav)
-        if args.manifest:
-            segments = [s for s in load_segments(args.manifest)
-                        if Path(s.source_id).name == Path(args.wav).name]
+        if args.manifest:  # the rows of this WAV only, cut from the audio loaded above
+            segments = [manifest_segment(d, audio) for d in parse_manifest(args.manifest)
+                        if Path(d.wav_path).name == Path(args.wav).name]
             if not segments:
                 raise DataError(f"manifest has no segments for {args.wav}")
         else:

@@ -126,23 +126,6 @@ class SegmentDescriptor:
 
 
 @dataclass(frozen=True)
-class CorpusSplit:
-    """Speaker-disjoint train/test partition."""
-
-    train: list[AudioSegment]
-    test: list[AudioSegment]
-    seed: int
-
-    @property
-    def train_speakers(self) -> set[str]:
-        return {s.speaker_id for s in self.train}
-
-    @property
-    def test_speakers(self) -> set[str]:
-        return {s.speaker_id for s in self.test}
-
-
-@dataclass(frozen=True)
 class VadConfig:
     """Energy VAD: frame-RMS threshold plus trailing hangover."""
 
@@ -270,12 +253,29 @@ def write_manifest(descriptors: Iterable[SegmentDescriptor], path: str | Path) -
             writer.writerow([d.wav_path, d.speaker_id, d.start_ms, d.end_ms, d.label.value])
 
 
+def manifest_segment(d: SegmentDescriptor, audio: AudioBuffer) -> AudioSegment:
+    """The labeled AudioSegment of one manifest row, cut from its loaded audio.
+
+    Raises RangeError when the row's end_ms runs past the audio.
+    """
+    if d.end_ms > audio.duration_ms:
+        raise RangeError(f"{d.wav_path}: segment end {d.end_ms} ms exceeds "
+                         f"audio length {audio.duration_ms:.1f} ms")
+    return AudioSegment(
+        source_id=d.wav_path,
+        speaker_id=d.speaker_id,
+        start_ms=d.start_ms,
+        end_ms=d.end_ms,
+        samples=audio.slice_ms(d.start_ms, d.end_ms),
+        label=d.label,
+    )
+
+
 def load_segments(manifest_path: str | Path) -> list[AudioSegment]:
-    """Load every manifest row into a labeled AudioSegment.
+    """Load every manifest row into a labeled AudioSegment (see `manifest_segment`).
 
     Relative wav paths are resolved against the manifest's directory. Each
-    WAV file is read once. Raises RangeError when a row's end_ms runs past
-    its audio.
+    WAV file is read once.
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
@@ -286,18 +286,7 @@ def load_segments(manifest_path: str | Path) -> list[AudioSegment]:
         wav = wav if wav.is_absolute() else base / wav
         if wav not in cache:
             cache[wav] = load_wav(wav)
-        audio = cache[wav]
-        if d.end_ms > audio.duration_ms:
-            raise RangeError(f"{d.wav_path}: segment end {d.end_ms} ms exceeds "
-                             f"audio length {audio.duration_ms:.1f} ms")
-        segments.append(AudioSegment(
-            source_id=d.wav_path,
-            speaker_id=d.speaker_id,
-            start_ms=d.start_ms,
-            end_ms=d.end_ms,
-            samples=audio.slice_ms(d.start_ms, d.end_ms),
-            label=d.label,
-        ))
+        segments.append(manifest_segment(d, cache[wav]))
     return segments
 
 
@@ -393,8 +382,8 @@ def split_corpus(
     segments: Sequence[AudioSegment],
     train_fraction: float,
     seed: int,
-) -> CorpusSplit:
-    """Partition speakers (not segments) into train and test sides.
+) -> tuple[list[AudioSegment], list[AudioSegment]]:
+    """Partition speakers (not segments) into (train, test) segment lists.
 
     Speakers without any confirmation segment are dropped first. Remaining
     speakers are assigned to the train side greedily by descending segment
@@ -433,4 +422,4 @@ def split_corpus(
 
     train = [s for spk in train_speakers for s in eligible[spk]]
     test = [s for spk in order if spk not in train_speakers for s in eligible[spk]]
-    return CorpusSplit(train=train, test=test, seed=seed)
+    return train, test

@@ -29,6 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..corpus import SAMPLE_RATE
 from ..errors import DegenerateFrame, NumericalFailure
 
 LPC_ORDER = 12
@@ -141,12 +142,13 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
     comes back with an imaginary part of exactly 0; the result is always
     complex128. Every root r is checked against
     |p(r)| <= tol * sum_i |c_i| |r|^(deg-i); NumericalFailure names the
-    first root that misses that residual bound. It is also raised when the
-    companion row -c[1:] / c[0] is not finite: a leading coefficient so
-    small (subnormal, say) that the row overflows, or a NaN or infinite
-    coefficient after the first. Leading zero
-    coefficients are dropped and trailing ones give roots at the origin; a
-    polynomial with neither (every LPC polynomial) skips that scan.
+    first root that misses that residual bound. It is also raised for a
+    NaN or infinite coefficient (before any root is solved), when the
+    companion row -c[1:] / c[0] overflows (a leading coefficient so small,
+    subnormal say, that the row is not finite) and when `np.linalg.eigvals`
+    does not converge. Leading zero coefficients are dropped and trailing
+    ones give roots at the origin; a polynomial with neither (every LPC
+    polynomial) skips that scan.
 
     A (k, m) block gives (k, m - 1) roots, each row bitwise that of its
     polynomial: the companion matrices of all rows go to one stacked
@@ -155,8 +157,8 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
     coefficient), cannot solve (NaN or infinite coefficients) or would
     reject (an overflowing companion row, a root that misses the residual
     bound) are NaN; the block call itself does not raise NumericalFailure.
-    Neither call catches the LinAlgError of an `eigvals` that does not
-    converge.
+    When the stacked `eigvals` does not converge, that block's rows are
+    solved one by one, and the rows that do not converge alone are NaN.
     """
     c = np.atleast_1d(np.asarray(coefficients, dtype=np.float64))
     if c.ndim == 2:
@@ -171,7 +173,15 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
         c = c[solvable]
         companion = np.tile(_subdiagonal(m - 1), (len(c), 1, 1))
         companion[:, 0, :] = top[solvable]
-        found = np.linalg.eigvals(companion).astype(np.complex128, copy=False)
+        try:
+            found = np.linalg.eigvals(companion).astype(np.complex128, copy=False)
+        except np.linalg.LinAlgError:
+            found = np.full((len(c), m - 1), np.nan, dtype=np.complex128)
+            for i, matrix in enumerate(companion):
+                try:
+                    found[i] = np.linalg.eigvals(matrix)
+                except np.linalg.LinAlgError:
+                    pass  # the row stays NaN
         # one Horner pass over all rows: [:, 0] is p(r), [:, 1] the bound
         steps = np.stack((c, np.abs(c)), axis=1).astype(np.complex128)
         point = np.stack((found, np.maximum(np.abs(found), 1e-300)), axis=1)
@@ -182,8 +192,10 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
         found[(np.abs(value[:, 0]) > residual_tol * value[:, 1].real).any(axis=1)] = np.nan
         roots[solvable] = found
         return roots
-    if c.size >= 2 and abs(c[0]) > 0.0 and c[-1] != 0.0:  # nothing to deflate
-        return _checked_roots(c, 0, residual_tol)
+    if c.size >= 2 and 0.0 < abs(c[0]) < np.inf and c[-1] != 0.0:  # nothing to deflate
+        return _checked_roots(c, 0, residual_tol)  # which rejects a NaN or inf after c[0]
+    if not np.isfinite(c).all():  # the scans below would take a NaN for a nonzero
+        raise NumericalFailure(f"coefficients {c.tolist()} give no finite companion row")
     nonzero = np.flatnonzero(np.abs(c) > 0.0)
     if nonzero.size == 0:
         raise ValueError("zero polynomial has no defined roots")
@@ -223,7 +235,11 @@ def _checked_roots(c: np.ndarray, tail: int, residual_tol: float) -> np.ndarray:
             companion[0, :] = -c[1:] / c[0]  # a tiny c[0] overflows it
         if not np.isfinite(companion[0]).all():  # the block call's test of its rows
             raise NumericalFailure(f"companion row of {c.tolist()} is not finite")
-        roots[:c.size - 1] = np.linalg.eigvals(companion)
+        try:
+            roots[:c.size - 1] = np.linalg.eigvals(companion)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"eigenvalues of the companion matrix of {c.tolist()} "
+                                   "did not converge") from exc
     point[1] = np.maximum(np.abs(roots), 1e-300)
     # step i adds c_i to row 0 and |c_i| to row 1, spelled out per root
     steps = np.zeros((m, 2, m - 1), dtype=np.complex128)
@@ -254,8 +270,8 @@ def fix_roots(roots: np.ndarray) -> np.ndarray:
     return out
 
 
-def formants(roots: np.ndarray, sample_rate: int) -> np.ndarray:
-    """First two formant frequencies in Hz, (F1, F2), from fixed LPC roots.
+def formants(roots: np.ndarray) -> np.ndarray:
+    """First two formant frequencies in Hz, (F1, F2), from fixed LPC roots of a 16 kHz frame.
 
     Candidates are roots with angle in (0, pi); frequency = angle * fs / 2pi
     and bandwidth = -(fs/pi) * ln|r|. Candidates below 90 Hz or wider than
@@ -268,10 +284,10 @@ def formants(roots: np.ndarray, sample_rate: int) -> np.ndarray:
     """
     roots = np.asarray(roots, dtype=np.complex128)
     angle = np.arctan2(roots.imag, roots.real)
-    freq = angle * sample_rate / (2.0 * np.pi)
+    freq = angle * SAMPLE_RATE / (2.0 * np.pi)
     # freq >= FORMANT_MIN_HZ > 0 implies angle > 0, hence |r| > 0
     upper = (freq >= FORMANT_MIN_HZ) & (angle < np.pi)
-    bandwidth = -(sample_rate / np.pi) * np.log(np.abs(roots[upper]))
+    bandwidth = -(SAMPLE_RATE / np.pi) * np.log(np.abs(roots[upper]))
     if roots.ndim == 2:
         kept = upper.copy()
         kept[upper] = bandwidth <= FORMANT_MAX_BANDWIDTH_HZ

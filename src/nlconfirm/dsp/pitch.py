@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..corpus import SAMPLE_RATE
 from .spectral import next_pow2
 from .windows import WindowKind, make_window
 
@@ -49,23 +50,18 @@ def _parabolic_min(y: np.ndarray, i: int, lo: int, hi: int) -> float:
     return i + 0.5 * (y[i - 1] - y[i + 1]) / denom
 
 
-def pitch_yin_fft(
-    windowed: np.ndarray,
-    sample_rate: int = 16_000,
-    fmin: float = PITCH_FMIN,
-    fmax: float = PITCH_FMAX,
-    threshold: float = DIP_THRESHOLD,
-) -> float:
-    """Pitch of one Hann-windowed frame in Hz; 0.0 means unvoiced.
+def pitch_yin_fft(windowed: np.ndarray) -> float:
+    """Pitch of one Hann-windowed 16 kHz frame in Hz; 0.0 means unvoiced.
 
-    The first local CMNDF minimum below the threshold inside the search
-    band wins. If none dips that low, the global minimum is used only when
-    it stays below 0.5; otherwise the frame counts as unvoiced.
+    The first local CMNDF minimum below DIP_THRESHOLD inside the search
+    band (PITCH_FMIN .. PITCH_FMAX) wins. If none dips that low, the
+    global minimum is used only when it stays below FALLBACK_THRESHOLD;
+    otherwise the frame counts as unvoiced.
     """
     x = np.asarray(windowed, dtype=np.float64)
     n = x.size
-    tau_min = max(2, int(sample_rate / fmax))
-    tau_max = min(int(np.ceil(sample_rate / fmin)), n - 1)
+    tau_min = max(2, int(SAMPLE_RATE / PITCH_FMAX))
+    tau_max = min(int(np.ceil(SAMPLE_RATE / PITCH_FMIN)), n - 1)
     if tau_max <= tau_min:
         return UNVOICED
 
@@ -93,11 +89,11 @@ def pitch_yin_fft(
             tau += 1
         while tau - 1 >= tau_min and diff[tau - 1] < diff[tau]:
             tau -= 1
-        return sample_rate / _parabolic_min(diff, tau, 1, tau_max)
+        return SAMPLE_RATE / _parabolic_min(diff, tau, 1, tau_max)
 
     tau = tau_min
     while tau <= tau_max:
-        if cmndf[tau] < threshold:
+        if cmndf[tau] < DIP_THRESHOLD:
             while tau + 1 <= tau_max and cmndf[tau + 1] < cmndf[tau]:
                 tau += 1
             return refine(tau)

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SeriesTooShort
-
 
 @dataclass(frozen=True)
 class SavitzkyGolayFilter:
@@ -30,10 +28,6 @@ class SavitzkyGolayFilter:
         object.__setattr__(self, "coefficients", a)
 
     @property
-    def n(self) -> int:
-        return self.coefficients.size
-
-    @property
     def half(self) -> int:
         return self.coefficients.size // 2
 
@@ -46,17 +40,9 @@ def sg_at(series: np.ndarray, t: int, filt: SavitzkyGolayFilter) -> float | np.n
     """Filter response at index t with edge replication (clamped indexing).
 
     Works on a 1-D series or a (time, dim) matrix. This is the reference
-    arithmetic: `savitzky_golay` applies it index by index, and tests
-    compare the feature extractor's batched (matmul) derivative rows
-    against that.
+    arithmetic: tests apply it index by index and compare the feature
+    extractor's batched (matmul) derivative rows against that.
     """
     idx = np.clip(np.arange(t - filt.half, t + filt.half + 1), 0, len(series) - 1)
     return (filt.coefficients @ series[idx]) / filt.h
 
-
-def savitzky_golay(series: np.ndarray, filt: SavitzkyGolayFilter) -> np.ndarray:
-    """Apply a Savitzky-Golay filter along a series (edge-replicated)."""
-    series = np.asarray(series, dtype=np.float64)
-    if len(series) < filt.n:
-        raise SeriesTooShort(f"series length {len(series)} < filter length {filt.n}")
-    return np.stack([sg_at(series, t, filt) for t in range(len(series))])

@@ -1,9 +1,10 @@
 """Power spectra and mel-frequency cepstral coefficients.
 
-The MFCC chain: Blackman-Harris-windowed frame -> power spectrum (FFT
-zero-padded to the next power of two) -> 40 triangular mel filters between
-20 and 7800 Hz -> floored log energies -> orthonormal DCT-II -> first 13
-coefficients (the 0th is kept).
+The MFCC chain, at the one sample rate `corpus.SAMPLE_RATE` (16 kHz):
+Blackman-Harris-windowed frame -> power spectrum (FFT zero-padded to the
+next power of two) -> 40 triangular mel filters between 20 and 7800 Hz ->
+floored log energies -> orthonormal DCT-II -> first 13 coefficients (the
+0th is kept).
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+from ..corpus import SAMPLE_RATE
 
 N_MFCC = 13
 N_MEL_BANDS = 40
@@ -49,18 +52,12 @@ def mel_to_hz(m):
 
 
 @lru_cache(maxsize=None)
-def mel_filterbank(
-    n_fft: int,
-    sample_rate: int,
-    n_bands: int = N_MEL_BANDS,
-    fmin: float = MEL_FMIN,
-    fmax: float = MEL_FMAX,
-) -> np.ndarray:
-    """Triangular mel filterbank, (n_bands, n_fft//2 + 1), each row unit-sum."""
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_bands + 2))
-    bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
-    bank = np.zeros((n_bands, bin_freqs.size))
-    for b in range(n_bands):
+def mel_filterbank(n_fft: int) -> np.ndarray:
+    """Triangular mel filterbank, (N_MEL_BANDS, n_fft//2 + 1), each row unit-sum."""
+    edges_hz = mel_to_hz(np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(MEL_FMAX), N_MEL_BANDS + 2))
+    bin_freqs = np.arange(n_fft // 2 + 1) * (SAMPLE_RATE / n_fft)
+    bank = np.zeros((N_MEL_BANDS, bin_freqs.size))
+    for b in range(N_MEL_BANDS):
         lo, center, hi = edges_hz[b], edges_hz[b + 1], edges_hz[b + 2]
         rising = (bin_freqs - lo) / (center - lo)
         falling = (hi - bin_freqs) / (hi - center)
@@ -96,24 +93,24 @@ def _rows_times(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return np.matmul(x[..., None, :], matrix)[..., 0, :]
 
 
-def mel_log_energies(power: np.ndarray, sample_rate: int) -> np.ndarray:
+def mel_log_energies(power: np.ndarray) -> np.ndarray:
     """Floored log of the 40 mel-band energies of a power spectrum (or of each row)."""
     power = np.asarray(power, dtype=np.float64)
     n_fft = 2 * (power.shape[-1] - 1)
-    bank = mel_filterbank(n_fft, sample_rate)
+    bank = mel_filterbank(n_fft)
     return np.log(np.maximum(_rows_times(power, bank.T), LOG_FLOOR))
 
 
-def mfcc_from_log_energies(log_energies: np.ndarray, n_mfcc: int = N_MFCC) -> np.ndarray:
-    """Orthonormal DCT-II of log mel energies (or of each row), truncated to n_mfcc."""
+def mfcc_from_log_energies(log_energies: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II of log mel energies (or of each row), truncated to N_MFCC."""
     log_energies = np.asarray(log_energies, dtype=np.float64)
-    mat = _dct2_ortho_matrix(n_mfcc, log_energies.shape[-1])
+    mat = _dct2_ortho_matrix(N_MFCC, log_energies.shape[-1])
     return _rows_times(log_energies, mat.T)
 
 
-def mfcc(windowed: np.ndarray, sample_rate: int = 16_000) -> np.ndarray:
+def mfcc(windowed: np.ndarray) -> np.ndarray:
     """First 13 MFCCs of a Blackman-Harris-windowed frame, or of each row of an (n, 400) block.
 
     A block gives bitwise the rows of calling mfcc frame by frame.
     """
-    return mfcc_from_log_energies(mel_log_energies(power_spectrum(windowed), sample_rate))
+    return mfcc_from_log_energies(mel_log_energies(power_spectrum(windowed)))

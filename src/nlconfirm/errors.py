@@ -63,10 +63,6 @@ class LengthMismatch(DataError):
     """Two sequences that must have equal length do not."""
 
 
-class SeriesTooShort(DataError):
-    """Time series shorter than the filter applied to it."""
-
-
 class DegenerateFrame(NumericalError):
     """Frame has no energy; analysis is undefined."""
 

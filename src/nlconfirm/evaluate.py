@@ -10,7 +10,7 @@ import numpy as np
 
 from .corpus import AudioSegment, Label, frame_stream
 from .errors import LengthMismatch, MissingClass
-from .featset import FeatureSetConfig, extract_matrix, required_context
+from .featset import FeatureSetConfig, extract_matrix
 from .learn.cv_core import FoldResult, SpeakerFrames, weighted_accuracy
 from .learn.svm import SvmHyperParams
 from .pipeline import SegmentDecision
@@ -108,7 +108,7 @@ def speaker_frames(
     feature set's context. `stats`, if given, counts frames, vectors and
     formant zero pairs.
     """
-    min_frames = required_context(config)
+    min_frames = config.required_context
     by_speaker: dict[str, list[AudioSegment]] = {}
     for seg in segments:
         by_speaker.setdefault(seg.speaker_id, []).append(seg)
@@ -177,22 +177,11 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
 def segment_metrics(
     decisions: list[SegmentDecision], truth: list[Label]
 ) -> ConfusionCounts:
-    """Confusion counts at segment granularity."""
+    """Confusion counts at segment granularity: each decided label counts as a score of +-1."""
     if len(decisions) != len(truth):
         raise LengthMismatch(f"{len(decisions)} decisions vs {len(truth)} labels")
-    tp = fp = tn = fn = 0
-    for decision, label in zip(decisions, truth):
-        predicted_pos = decision.decided_label is Label.CONFIRMATION
-        actual_pos = label is Label.CONFIRMATION
-        if predicted_pos and actual_pos:
-            tp += 1
-        elif predicted_pos:
-            fp += 1
-        elif actual_pos:
-            fn += 1
-        else:
-            tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    return frame_metrics(np.array([label_sign(d.decided_label) for d in decisions]),
+                         np.array([label_sign(label) for label in truth]))
 
 
 def frame_metrics(scores: np.ndarray, labels: np.ndarray) -> ConfusionCounts:

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import FRAME_LEN, SAMPLE_RATE, Frame
+from .corpus import FRAME_LEN, Frame
 from .dsp import (
     FIRST_DERIVATIVE,
     N_MFCC,
@@ -102,8 +102,6 @@ _LIFT_WARM_UP = {"frame": 0, "delta": DELTA_LAG - 1,
                  "stack": STACK_DEPTH - 2, "sd": STACK_DEPTH - 2}
 _FORMANT_COUNTERS = ("formant_silent", "formant_root_failures", "formant_no_candidate")
 
-PCA_KINDS = {kind for kind, recipe in _RECIPES.items() if recipe.pca}
-
 
 @dataclass(frozen=True)
 class FeatureSetConfig:
@@ -119,6 +117,17 @@ class FeatureSetConfig:
     @property
     def uses_pca(self) -> bool:
         return _RECIPES[self.kind].pca
+
+    @property
+    def window_kind(self) -> WindowKind:
+        """MFCC-family sets use Blackman-Harris; formant and pitch sets use Hann."""
+        base = _RECIPES[self.kind].base
+        return WindowKind.BLACKMAN_HARRIS4 if base == "mfcc" else WindowKind.HANN
+
+    @property
+    def required_context(self) -> int:
+        """Minimum frame count before the first vector can be emitted."""
+        return _LIFT_CONTEXT[_RECIPES[self.kind].lift]
 
     def to_dict(self) -> dict:
         return {
@@ -137,17 +146,6 @@ class FeatureVector:
     values: np.ndarray
     frame_index: int
     config: FeatureSetConfig
-
-
-def window_kind_for(config: FeatureSetConfig | FeatureKind) -> WindowKind:
-    """MFCC-family sets use Blackman-Harris; formant and pitch sets use Hann."""
-    base = _RECIPES[getattr(config, "kind", config)].base
-    return WindowKind.BLACKMAN_HARRIS4 if base == "mfcc" else WindowKind.HANN
-
-
-def required_context(config: FeatureSetConfig | FeatureKind) -> int:
-    """Minimum frame count before the first vector can be emitted."""
-    return _LIFT_CONTEXT[_RECIPES[getattr(config, "kind", config)].lift]
 
 
 def _formant_pair(windowed: np.ndarray, stats: Stats | None = None) -> np.ndarray:
@@ -170,7 +168,7 @@ def _formant_pair(windowed: np.ndarray, stats: Stats | None = None) -> np.ndarra
         if stats is not None:
             stats.count("formant_root_failures")
         return np.zeros(2)
-    pair = formants(roots, SAMPLE_RATE)
+    pair = formants(roots)
     if pair[0] == 0.0 and stats is not None:
         stats.count("formant_no_candidate")
     return pair
@@ -185,7 +183,7 @@ def _formant_rows(windowed: np.ndarray, stats: Stats | None = None) -> np.ndarra
     through `_formant_pair`, so the zero pairs and the counters are those
     of the frame-by-frame chain.
     """
-    pairs = formants(fix_roots(polynomial_roots(lpc_polynomial(lpc(windowed)))), SAMPLE_RATE)
+    pairs = formants(fix_roots(polynomial_roots(lpc_polynomial(lpc(windowed)))))
     no_candidate = np.count_nonzero(pairs[:, 0] == 0.0)
     if stats is not None and no_candidate:
         stats.count("formant_no_candidate", no_candidate)
@@ -253,7 +251,7 @@ class StreamingExtractor:
     def __init__(self, config: FeatureSetConfig, stats: Stats | None = None):
         self.config = config
         self._stats = stats
-        self._window = make_window(window_kind_for(config), FRAME_LEN)
+        self._window = make_window(config.window_kind, FRAME_LEN)
         self._base, self._lift, _ = _RECIPES[config.kind]
         if stats is not None and self._base == "formants":
             for name in _FORMANT_COUNTERS:
@@ -279,11 +277,11 @@ class StreamingExtractor:
         """
         one = windowed.ndim == 1
         if self._base == "mfcc":
-            rows = mfcc(windowed, SAMPLE_RATE)
+            rows = mfcc(windowed)
         elif self._base == "formants":
             rows = (_formant_pair if one else _formant_rows)(windowed, self._stats)
         else:
-            rows = np.array([pitch_yin_fft(w, SAMPLE_RATE) for w in np.atleast_2d(windowed)])
+            rows = np.array([pitch_yin_fft(w) for w in np.atleast_2d(windowed)])
         return rows.reshape(1 if one else len(windowed), -1)
 
     def _release(self) -> None:
@@ -385,10 +383,10 @@ def extract_matrix(frames: Sequence[Frame], config: FeatureSetConfig,
     is shorter than the kind's required context; its message names the
     segment. `stats`, if given, counts frames, vectors and formant zero pairs.
     """
-    if len(frames) < required_context(config):
+    if len(frames) < config.required_context:
         ref = frames[0].segment_ref if frames else "(no frames)"
         raise SegmentTooShort(
-            f"{ref}: {len(frames)} frames < required context {required_context(config)} "
+            f"{ref}: {len(frames)} frames < required context {config.required_context} "
             f"for {config.kind.value}"
         )
     extractor = StreamingExtractor(config, stats)

@@ -34,7 +34,8 @@ from ..featset import FeatureSetConfig
 from .model_io import ModelBundle
 from .normalize import NormalizerStats, fit_normalizer
 from .pca import PcaTransform, fit_pca
-from .svm import SvmHyperParams, SvmModel, smo_path, squared_distances, support_model, train_svm
+from .svm import (SvmHyperParams, SvmModel, rbf_kernel, smo_path, squared_distances,
+                  support_model, train_svm)
 
 PCA_EPSILON = 0.95  # retained-variance ratio of every PCA feature set
 
@@ -142,10 +143,10 @@ def _fold_seed(seed: int, speaker_id: str) -> int:
     return int(np.random.SeedSequence([seed, zlib.crc32(speaker_id.encode())]).generate_state(1)[0])
 
 
-def _grid_bundles(
-    chain: FitChain, config: FeatureSetConfig, grid: Sequence[SvmHyperParams]
-) -> tuple[list[ModelBundle], list[np.ndarray]]:
-    """One model per grid point from one distance matrix and one SMO run per (C, gamma).
+def _grid_models(
+    chain: FitChain, grid: Sequence[SvmHyperParams]
+) -> tuple[list[SvmModel], list[np.ndarray]]:
+    """One SVM per grid point from one distance matrix and one SMO run per (C, gamma).
 
     Also returns each model's support mask (alpha > 0) over the chain's rows.
     """
@@ -166,9 +167,7 @@ def _grid_bundles(
             for k, (alpha, bias, _) in zip(indices, snapshots):
                 svms[k] = support_model(x, y, alpha, bias, gamma)
                 supports[k] = alpha > 0.0
-    bundles = [ModelBundle(feature_config=config, hyperparams=params, normalizer=chain.normalizer,
-                           pca=chain.pca, svm=svm) for params, svm in zip(grid, svms)]
-    return bundles, supports
+    return svms, supports
 
 
 def run_louo_folds(
@@ -196,19 +195,19 @@ def run_louo_folds(
     for held_out in speakers:
         rest = [s for s in speakers if s.speaker_id != held_out.speaker_id]
         chain = fit_chain(rest, config, seed=_fold_seed(seed, held_out.speaker_id))
-        bundles, supports = _grid_bundles(chain, config, points)
-        z = bundles[0].project(held_out.vectors)
+        svms, supports = _grid_models(chain, points)
+        z = chain.normalizer.transform(held_out.vectors)  # as ModelBundle.project
+        if chain.pca is not None:
+            z = chain.pca.transform(z)
         for gamma in dict.fromkeys(p.gamma for p in points):
             members = [k for k, p in enumerate(points) if p.gamma == gamma]
             union = np.logical_or.reduce([supports[k] for k in members])
-            kernel = squared_distances(z, chain.vectors[union])
-            kernel *= -gamma
-            np.exp(kernel, out=kernel)
+            kernel = rbf_kernel(z, chain.vectors[union], gamma)
             signed = np.zeros((np.count_nonzero(union), len(members)))
             for column, k in enumerate(members):
-                signed[supports[k][union], column] = bundles[k].svm.alphas_signed
+                signed[supports[k][union], column] = svms[k].alphas_signed
             values = kernel @ signed
-            values += [bundles[k].svm.bias for k in members]
+            values += [svms[k].bias for k in members]
             predicted = np.where(values > 0.0, 1.0, -1.0)
             accuracies = np.mean(predicted == held_out.labels[:, None], axis=0)
             for column, k in enumerate(members):

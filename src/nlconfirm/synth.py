@@ -20,6 +20,8 @@ from scipy.signal import lfilter
 from .corpus import SAMPLE_RATE, AudioBuffer, Label, SegmentDescriptor, write_manifest, write_wav
 
 CONTROL_BLOCK = 160  # resonator coefficients update every 10 ms
+CONFIRMATION_FORMANTS = (350.0, 1400.0)  # F1, F2 centers of every confirmation token
+POLE_RADIUS = 0.975  # of both resonators
 
 
 @dataclass(frozen=True)
@@ -36,8 +38,6 @@ class SynthConfig:
     segments_per_speaker: int = 40
     confirmation_rate: float = 0.08
     seed: int = 0
-    confirmation_formants: tuple[float, float] = (350.0, 1400.0)
-    pole_radius: float = 0.975
     noise_db: float = -40.0
 
     def to_dict(self) -> dict:
@@ -46,8 +46,8 @@ class SynthConfig:
             "segments_per_speaker": self.segments_per_speaker,
             "confirmation_rate": self.confirmation_rate,
             "seed": self.seed,
-            "confirmation_formants": list(self.confirmation_formants),
-            "pole_radius": self.pole_radius,
+            "confirmation_formants": list(CONFIRMATION_FORMANTS),
+            "pole_radius": POLE_RADIUS,
             "noise_db": self.noise_db,
         }
 
@@ -65,7 +65,7 @@ def _pulse_train(f0_curve: np.ndarray) -> np.ndarray:
     return out
 
 
-def _resonate(x: np.ndarray, f1_curve: np.ndarray, f2_curve: np.ndarray, radius: float) -> np.ndarray:
+def _resonate(x: np.ndarray, f1_curve: np.ndarray, f2_curve: np.ndarray) -> np.ndarray:
     """Cascade of two 2-pole resonators with block-wise coefficient updates."""
     y = x
     for curve in (f1_curve, f2_curve):
@@ -75,7 +75,7 @@ def _resonate(x: np.ndarray, f1_curve: np.ndarray, f2_curve: np.ndarray, radius:
             stop = min(start + CONTROL_BLOCK, y.size)
             center = curve[(start + stop) // 2]
             theta = 2.0 * np.pi * center / SAMPLE_RATE
-            a = [1.0, -2.0 * radius * np.cos(theta), radius * radius]
+            a = [1.0, -2.0 * POLE_RADIUS * np.cos(theta), POLE_RADIUS * POLE_RADIUS]
             out[start:stop], zi = lfilter([1.0], a, y[start:stop], zi=zi)
         y = out
     return y
@@ -96,10 +96,10 @@ def _shape_token(token: np.ndarray, peak: float, noise_db: float, rng: np.random
 def _confirmation_token(rng: np.random.Generator, f0_median: float, cfg: SynthConfig) -> np.ndarray:
     n = _ms_to_samples(rng.uniform(300, 700))
     f0 = f0_median * (1.0 + rng.uniform(-0.02, 0.02))
-    f1_c, f2_c = cfg.confirmation_formants
+    f1_c, f2_c = CONFIRMATION_FORMANTS
     f1 = np.full(n, f1_c + rng.uniform(-25, 25))
     f2 = np.full(n, f2_c + rng.uniform(-50, 50))
-    token = _resonate(_pulse_train(np.full(n, f0)), f1, f2, cfg.pole_radius)
+    token = _resonate(_pulse_train(np.full(n, f0)), f1, f2)
     return _shape_token(token, rng.uniform(0.18, 0.32), cfg.noise_db, rng)
 
 
@@ -117,7 +117,7 @@ def _other_token(rng: np.random.Generator, f0_median: float, cfg: SynthConfig) -
     hi2 = lo2 + rng.uniform(400, 800)
     f1 = np.linspace(lo1, hi1, n) if rng.random() < 0.5 else np.linspace(hi1, lo1, n)
     f2 = np.linspace(lo2, hi2, n) if rng.random() < 0.5 else np.linspace(hi2, lo2, n)
-    token = _resonate(_pulse_train(f0), f1, f2, cfg.pole_radius)
+    token = _resonate(_pulse_train(f0), f1, f2)
     return _shape_token(token, rng.uniform(0.18, 0.32), cfg.noise_db, rng)
 
 

@@ -14,6 +14,7 @@ from nlconfirm.corpus import (
     Label,
     write_wav,
 )
+from nlconfirm.dsp import SavitzkyGolayFilter, sg_at
 from nlconfirm.synth import SynthConfig, generate_corpus
 
 
@@ -24,6 +25,12 @@ def sine(freq: float, duration_s: float, amplitude: float = 0.5, phase: float = 
 
 def silence(duration_s: float) -> np.ndarray:
     return np.zeros(int(duration_s * SAMPLE_RATE))
+
+
+def sg_filtered(series: np.ndarray, filt: SavitzkyGolayFilter) -> np.ndarray:
+    """The reference Savitzky-Golay output: `sg_at` at every index of the series."""
+    series = np.asarray(series, dtype=np.float64)
+    return np.stack([sg_at(series, t, filt) for t in range(len(series))])
 
 
 def make_segment(

@@ -329,6 +329,23 @@ def test_listen_with_vad(corpus_dir, model_dir, tmp_path):
     assert (out / "triggers.ndjson").exists()
 
 
+def test_listen_manifest_reads_only_the_listened_wav(corpus_dir, model_dir, tmp_path):
+    # a missing WAV of another speaker leaves the triggers byte for byte as they were
+    root = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, root)
+
+    def listen(out):
+        assert run("listen", "--wav", root / "wavs" / "spk00.wav", "--model",
+                   model_dir / "model.nlcm", "--manifest", root / "manifest.csv",
+                   "--out", out) == 0
+        return (out / "triggers.ndjson").read_bytes()
+
+    present = listen(tmp_path / "present")
+    assert present  # spk00 has confirmations that trigger
+    (root / "wavs" / "spk02.wav").unlink()
+    assert listen(tmp_path / "missing") == present
+
+
 def test_exit_code_data_error(tmp_path):
     manifest = tmp_path / "bad.csv"
     manifest.write_text("wav_path,speaker_id,start_ms,end_ms,label\nx.wav,s,0,500,yes\n")
@@ -506,7 +523,7 @@ def _formant_zero_pairs(segments) -> dict[str, int]:
             except NumericalFailure:
                 counts["formant_root_failures"] += 1
                 continue
-            if formants(fix_roots(roots), 16000)[0] == 0.0:
+            if formants(fix_roots(roots))[0] == 0.0:
                 counts["formant_no_candidate"] += 1
     return counts
 

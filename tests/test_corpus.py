@@ -325,15 +325,19 @@ def _speaker_segments(speaker: str, n: int, n_confirm: int):
     return segs
 
 
+def _speakers(segments) -> set[str]:
+    return {s.speaker_id for s in segments}
+
+
 class TestSplit:
     def test_ten_speakers_seventy_percent(self):
         segments = []
         for s in range(10):
             segments.extend(_speaker_segments(f"spk{s}", 10, 1))
-        split = split_corpus(segments, 0.7, seed=1)
-        assert len(split.train) == 70
-        assert len(split.test) == 30
-        assert split.train_speakers.isdisjoint(split.test_speakers)
+        train, test = split_corpus(segments, 0.7, seed=1)
+        assert len(train) == 70
+        assert len(test) == 30
+        assert _speakers(train).isdisjoint(_speakers(test))
 
     def test_single_eligible_speaker(self):
         segments = _speaker_segments("only", 5, 2) + _speaker_segments("empty", 5, 0)
@@ -349,19 +353,19 @@ class TestSplit:
         segments = []
         for s in range(6):
             segments.extend(_speaker_segments(f"spk{s}", 4 + s, 1))
-        a = split_corpus(segments, 0.7, seed=42)
-        b = split_corpus(segments, 0.7, seed=42)
-        assert a.train_speakers == b.train_speakers
+        a_train, _ = split_corpus(segments, 0.7, seed=42)
+        b_train, _ = split_corpus(segments, 0.7, seed=42)
+        assert _speakers(a_train) == _speakers(b_train)
 
     def test_zero_confirmation_speakers_excluded(self):
         segments = []
         for s in range(4):
             segments.extend(_speaker_segments(f"spk{s}", 5, 1))
         segments.extend(_speaker_segments("mute", 20, 0))
-        split = split_corpus(segments, 0.7, seed=0)
-        speakers = split.train_speakers | split.test_speakers
+        train, test = split_corpus(segments, 0.7, seed=0)
+        speakers = _speakers(train) | _speakers(test)
         assert "mute" not in speakers
-        assert len(split.train) + len(split.test) == 20
+        assert len(train) + len(test) == 20
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -375,11 +379,11 @@ class TestSplit:
         segments = []
         for idx, (n, has_conf) in enumerate(counts):
             segments.extend(_speaker_segments(f"spk{idx}", n, 1 if has_conf else 0))
-        split = split_corpus(segments, fraction, seed)
-        assert split.train_speakers.isdisjoint(split.test_speakers)
-        assert split.train and split.test
+        train, test = split_corpus(segments, fraction, seed)
+        assert _speakers(train).isdisjoint(_speakers(test))
+        assert train and test
         eligible = {f"spk{i}" for i, (_, c) in enumerate(counts) if c}
-        assert split.train_speakers | split.test_speakers == eligible
+        assert _speakers(train) | _speakers(test) == eligible
 
 
 # one byte of every class the WAV reader tells apart: zero and small counts

@@ -20,7 +20,7 @@ from nlconfirm.evaluate import (
 )
 from nlconfirm.featset import FeatureKind, FeatureSetConfig
 from nlconfirm.learn import DEFAULT_GRID, SvmHyperParams, grid_search
-from nlconfirm.learn import cv_core
+from nlconfirm.learn import cv_core, svm
 from nlconfirm.learn.cv_core import (
     FoldResult,
     SpeakerFrames,
@@ -394,6 +394,7 @@ class TestGridOracle:
             return real_path(kernel, labels, C, tolerances, *rest)
 
         monkeypatch.setattr(cv_core, "squared_distances", counting_distances)
+        monkeypatch.setattr(svm, "squared_distances", counting_distances)  # under rbf_kernel
         monkeypatch.setattr(cv_core, "smo_path", counting_path)
         speakers = overlapping_speakers(TWO_DIM)
         grid_search(speakers, TWO_DIM, seed=0)

@@ -23,13 +23,11 @@ from nlconfirm.dsp import (
     mfcc,
     pitch_yin_fft,
     polynomial_roots,
-    savitzky_golay,
 )
 from nlconfirm import featset
 from nlconfirm.errors import NumericalFailure, SegmentTooShort
 from nlconfirm.featset import (
     DELTA_CONTEXT,
-    PCA_KINDS,
     STACK_DEPTH,
     FeatureKind,
     FeatureSetConfig,
@@ -37,12 +35,10 @@ from nlconfirm.featset import (
     extract,
     extract_matrix,
     feature_matrix,
-    required_context,
-    window_kind_for,
 )
 from nlconfirm.stats import Stats
 
-from .conftest import make_segment, sine
+from .conftest import make_segment, sg_filtered, sine
 
 RNG = np.random.default_rng(99)
 
@@ -74,16 +70,16 @@ class TestTable:
         }
 
     def test_window_mapping(self):
-        assert window_kind_for(FeatureKind.MFCC) is WindowKind.BLACKMAN_HARRIS4
-        assert window_kind_for(FeatureKind.MFCC_DELTA) is WindowKind.BLACKMAN_HARRIS4
-        assert window_kind_for(FeatureKind.STACKED_MFCC) is WindowKind.BLACKMAN_HARRIS4
-        assert window_kind_for(FeatureKind.FORMANT_SD) is WindowKind.HANN
-        assert window_kind_for(FeatureKind.STACKED_FORMANTS) is WindowKind.HANN
-        assert window_kind_for(FeatureKind.PITCH) is WindowKind.HANN
-        assert window_kind_for(FeatureKind.STACKED_PITCH) is WindowKind.HANN
+        assert FeatureSetConfig(FeatureKind.MFCC).window_kind is WindowKind.BLACKMAN_HARRIS4
+        assert FeatureSetConfig(FeatureKind.MFCC_DELTA).window_kind is WindowKind.BLACKMAN_HARRIS4
+        assert FeatureSetConfig(FeatureKind.STACKED_MFCC).window_kind is WindowKind.BLACKMAN_HARRIS4
+        assert FeatureSetConfig(FeatureKind.FORMANT_SD).window_kind is WindowKind.HANN
+        assert FeatureSetConfig(FeatureKind.STACKED_FORMANTS).window_kind is WindowKind.HANN
+        assert FeatureSetConfig(FeatureKind.PITCH).window_kind is WindowKind.HANN
+        assert FeatureSetConfig(FeatureKind.STACKED_PITCH).window_kind is WindowKind.HANN
 
     def test_pca_membership(self):
-        assert PCA_KINDS == {
+        assert {kind for kind in FeatureKind if FeatureSetConfig(kind).uses_pca} == {
             FeatureKind.MFCC_DELTA, FeatureKind.STACKED_MFCC, FeatureKind.STACKED_PITCH
         }
 
@@ -181,9 +177,9 @@ class TestExtraction:
             extract(noise_frames(6), FeatureSetConfig(FeatureKind.MFCC_DELTA))
 
     def test_required_context(self):
-        assert required_context(FeatureKind.MFCC) == 1
-        assert required_context(FeatureKind.MFCC_DELTA) == DELTA_CONTEXT
-        assert required_context(FeatureKind.STACKED_PITCH) == STACK_DEPTH
+        assert FeatureSetConfig(FeatureKind.MFCC).required_context == 1
+        assert FeatureSetConfig(FeatureKind.MFCC_DELTA).required_context == DELTA_CONTEXT
+        assert FeatureSetConfig(FeatureKind.STACKED_PITCH).required_context == STACK_DEPTH
 
     def test_silent_frames_are_handled(self):
         # zero-energy frames produce sentinel formants/pitch instead of errors
@@ -278,14 +274,14 @@ def special_frames(n: int, seed: int = 0) -> list[Frame]:
 
 def base_series(frames: list[Frame], kind: FeatureKind) -> np.ndarray:
     """Per-frame base features of a whole segment, one row per frame."""
-    window = make_window(window_kind_for(kind), FRAME_LEN)
+    window = make_window(FeatureSetConfig(kind).window_kind, FRAME_LEN)
     windowed = [apply_window(f.samples, window) for f in frames]
     if kind in (FeatureKind.MFCC_DELTA, FeatureKind.STACKED_MFCC):
         return np.stack([mfcc(w) for w in windowed])
     if kind is FeatureKind.STACKED_PITCH:
-        return np.array([[pitch_yin_fft(w, SAMPLE_RATE)] for w in windowed])
+        return np.array([[pitch_yin_fft(w)] for w in windowed])
     return np.stack([
-        formants(fix_roots(polynomial_roots(lpc_polynomial(lpc(w)))), SAMPLE_RATE)
+        formants(fix_roots(polynomial_roots(lpc_polynomial(lpc(w)))))
         for w in windowed
     ])
 
@@ -293,8 +289,8 @@ def base_series(frames: list[Frame], kind: FeatureKind) -> np.ndarray:
 def batch_reference(series: np.ndarray, kind: FeatureKind) -> list[np.ndarray]:
     """Vectors built from the whole base series at once."""
     if kind is FeatureKind.MFCC_DELTA:
-        rows = np.concatenate([series, savitzky_golay(series, FIRST_DERIVATIVE),
-                               savitzky_golay(series, SECOND_DERIVATIVE)], axis=1)
+        rows = np.concatenate([series, sg_filtered(series, FIRST_DERIVATIVE),
+                               sg_filtered(series, SECOND_DERIVATIVE)], axis=1)
         return list(rows)
     out = []
     for t in range(STACK_DEPTH - 1, len(series)):
@@ -317,7 +313,7 @@ class TestRingOracle:
     def test_extract_equals_whole_series_reference(self, kind, n):
         frames = voiced_frames(n, seed=n)
         config = FeatureSetConfig(kind)
-        if n < required_context(kind):
+        if n < config.required_context:
             with pytest.raises(SegmentTooShort):
                 extract(frames, config)
             return
@@ -405,7 +401,7 @@ class TestBlockPartition:
         n = data.draw(st.integers(1, 36), label="frames")
         sizes = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=n), label="blocks")
         frames = voiced_frames(n, seed=n)
-        if n >= required_context(kind):
+        if n >= config.required_context:
             expected = [(v.frame_index, v.values) for v in extract(frames, config)]
         else:  # too short for extract: the online mode still streams what it can
             expected = list(zip(*stream(StreamingExtractor(config), frames)))
@@ -725,5 +721,35 @@ class TestOverflowRow:
         pushed = Stats()
         _, stream_rows = stream(StreamingExtractor(FeatureSetConfig(FeatureKind.FORMANT_SD), pushed),
                                 frames)
+        assert rows.tobytes() == np.array(stream_rows).tobytes()
+        assert TestFormantCounters._counters(block) == TestFormantCounters._counters(pushed)
+
+
+class TestEigvalsNoConvergence:
+    """A frame whose companion matrix's eigenvalues do not converge, in a block and pushed."""
+
+    def test_the_frame_gets_a_counted_zero_pair(self, monkeypatch):
+        window = make_window(WindowKind.HANN, FRAME_LEN)
+        frames = voiced_frames(20)
+        windowed = [apply_window(f.samples, window) for f in frames]
+        bad = 9
+        top = -lpc_polynomial(lpc(windowed[bad]))[1:]  # the bad frame's companion row
+        eigvals = np.linalg.eigvals
+
+        def fails_on_the_bad_frame(matrices):
+            if (matrices[..., 0, :] == top).all(axis=-1).any():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvals(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvals", fails_on_the_bad_frame)
+        alone = Stats()
+        assert featset._formant_pair(windowed[bad], alone).tolist() == [0.0, 0.0]
+        assert TestFormantCounters._counters(alone)["formant_root_failures"] == 1
+        config = FeatureSetConfig(FeatureKind.STACKED_FORMANTS)
+        block, pushed = Stats(), Stats()
+        _, rows = extract_matrix(frames, config, block)
+        assert rows[0][2 * bad: 2 * bad + 2].tolist() == [0.0, 0.0]  # frame 9 of vector 14
+        assert TestFormantCounters._counters(block)["formant_root_failures"] == 1
+        _, stream_rows = stream(StreamingExtractor(config, pushed), frames)
         assert rows.tobytes() == np.array(stream_rows).tobytes()
         assert TestFormantCounters._counters(block) == TestFormantCounters._counters(pushed)

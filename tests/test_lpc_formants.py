@@ -19,7 +19,7 @@ from nlconfirm.dsp import (
 )
 from nlconfirm.errors import DegenerateFrame, NumericalFailure
 from nlconfirm.featset import _formant_pair
-from nlconfirm.synth import SynthConfig, _confirmation_token
+from nlconfirm.synth import CONFIRMATION_FORMANTS, SynthConfig, _confirmation_token
 
 from .conftest import resonator_signal
 
@@ -118,7 +118,8 @@ class TestPolynomialRoots:
 
     @pytest.mark.parametrize("coefficients", [
         [2.2e-311, 1.0], [1e-300, 1e10, 1.0], [OVERFLOW_EDGE, 1.0], [-OVERFLOW_EDGE, 1.0],
-        [1.0, np.inf], [1.0, -np.inf, 2.0], [1.0, np.nan, 2.0]])
+        [1.0, np.inf], [1.0, -np.inf, 2.0], [1.0, np.nan, 2.0],
+        [np.nan, 1.0, 2.0], [np.inf, 1.0], [0.0, np.nan, 1.0]])
     def test_a_non_finite_companion_row_is_a_numerical_failure(self, coefficients):
         with pytest.raises(NumericalFailure, match="companion row"):
             polynomial_roots(coefficients)
@@ -128,6 +129,14 @@ class TestPolynomialRoots:
         lead = np.nextafter(self.OVERFLOW_EDGE, 1.0)
         roots = polynomial_roots([lead, 1.0])
         assert roots.tolist() == [complex(-1.0 / lead, 0.0)] and np.isfinite(roots).all()
+
+    def test_eigenvalues_that_do_not_converge_are_a_numerical_failure(self, monkeypatch):
+        def no_convergence(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+        with pytest.raises(NumericalFailure, match="did not converge"):
+            polynomial_roots([1.0, -3.0, 2.0])
 
 
 class TestFixRoots:
@@ -160,32 +169,32 @@ class TestFormants:
     def test_single_pair_at_1000hz(self):
         angle = np.pi / 8
         pair = np.array([0.98 * np.exp(1j * angle), 0.98 * np.exp(-1j * angle)])
-        fp = formants(pair, FS)
+        fp = formants(pair)
         assert fp[0] == pytest.approx(1000.0, abs=1e-9)
         assert fp[1] == 0.0
 
     def test_all_real_roots(self):
-        fp = formants(np.array([0.9, -0.8, 0.5]), FS)
+        fp = formants(np.array([0.9, -0.8, 0.5]))
         assert tuple(fp) == (0.0, 0.0)
 
     def test_low_frequency_cut(self):
         angle = 2 * np.pi * 50 / FS  # 50 Hz < 90 Hz cut
-        fp = formants(np.array([0.99 * np.exp(1j * angle)]), FS)
+        fp = formants(np.array([0.99 * np.exp(1j * angle)]))
         assert tuple(fp) == (0.0, 0.0)
 
     def test_bandwidth_cut(self):
         # |r| = 0.8 gives bandwidth ~1136 Hz > 400 Hz
-        fp = formants(np.array([0.8 * np.exp(1j * np.pi / 4)]), FS)
+        fp = formants(np.array([0.8 * np.exp(1j * np.pi / 4)]))
         assert tuple(fp) == (0.0, 0.0)
 
     def test_monotone_in_angle(self):
         angles = np.linspace(0.2, np.pi - 0.2, 10)
-        freqs = [formants(np.array([0.99 * np.exp(1j * a)]), FS)[0] for a in angles]
+        freqs = [formants(np.array([0.99 * np.exp(1j * a)]))[0] for a in angles]
         assert all(a < b for a, b in zip(freqs, freqs[1:]))
 
     def test_sorted_two_lowest(self):
         mk = lambda f: 0.98 * np.exp(1j * 2 * np.pi * f / FS)
-        fp = formants(np.array([mk(2200), mk(500), mk(1200)]), FS)
+        fp = formants(np.array([mk(2200), mk(500), mk(1200)]))
         assert fp[0] == pytest.approx(500, abs=1e-6)
         assert fp[1] == pytest.approx(1200, abs=1e-6)
 
@@ -196,7 +205,7 @@ class TestResonatorRecovery:
         sig = resonator_signal(700, 1200, duration_s=0.3)
         frame = apply_window(sig[2400:2800], window)
         chain = fix_roots(polynomial_roots(lpc_polynomial(lpc(frame))))
-        fp = formants(chain, FS)
+        fp = formants(chain)
         assert fp[0] == pytest.approx(700, abs=50)
         assert fp[1] == pytest.approx(1200, abs=50)
 
@@ -208,7 +217,7 @@ class TestResonatorRecovery:
             f2 = rng.uniform(1000, 2500)
             sig = resonator_signal(f1, f2, duration_s=0.3)
             frame = apply_window(sig[2400:2800], window)
-            fp = formants(fix_roots(polynomial_roots(lpc_polynomial(lpc(frame)))), FS)
+            fp = formants(fix_roots(polynomial_roots(lpc_polynomial(lpc(frame)))))
             assert abs(fp[0] - f1) < 50, (f1, f2, fp)
             assert abs(fp[1] - f2) < 50, (f1, f2, fp)
 
@@ -535,18 +544,42 @@ class TestBlocks:
         assert np.isnan(got[0]).all()
         assert got[1].tobytes() == polynomial_roots([np.nextafter(edge, 1.0), 1.0]).tobytes()
 
+    def test_a_block_that_does_not_converge_is_solved_row_by_row(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        window = make_window(WindowKind.HANN, FRAME_LEN)
+        block = lpc_polynomial(lpc(apply_window(rng.uniform(-0.5, 0.5, (6, FRAME_LEN)), window)))
+        want = [polynomial_roots(poly) for poly in block]
+        bad = 2
+        eigvals, calls = np.linalg.eigvals, []
+
+        def fails_on_the_bad_row(matrices):
+            calls.append(matrices.ndim)
+            if (matrices[..., 0, :] == -block[bad, 1:]).all(axis=-1).any():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvals(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvals", fails_on_the_bad_row)
+        got = polynomial_roots(block)
+        assert calls == [3] + [2] * len(block)  # the stacked call, then one per row
+        assert np.isnan(got[bad]).all()
+        for i in np.flatnonzero(np.arange(len(block)) != bad):
+            assert got[i].tobytes() == want[i].tobytes()
+        calls.clear()  # the next block takes the stacked call alone again
+        assert polynomial_roots(block[:bad]).tobytes() == got[:bad].tobytes()
+        assert calls == [3]
+
     @settings(max_examples=300, deadline=None)
     @given(root_blocks())
     def test_fix_roots_and_formants_rows_are_root_set_calls(self, block):
         fixed = fix_roots(block)
-        pair = formants(fixed, FS)
+        pair = formants(fixed)
         assert pair.shape == (len(block), 2)
         for row, fixed_row, got in zip(block, fixed, pair):
             assert fixed_row.tobytes() == fix_roots(row).tobytes()
             if np.isnan(row).any():
                 assert np.isnan(got).all()
             else:
-                assert got.tobytes() == formants(fixed_row, FS).tobytes()
+                assert got.tobytes() == formants(fixed_row).tobytes()
 
 
 # LPC polynomial (Hann window) of frame 1897 of seed-0 `spk01.wav`. Its roots
@@ -564,7 +597,7 @@ class TestRealRoots:
     def test_real_root_is_no_formant(self):
         roots = polynomial_roots(PHANTOM_NYQUIST_POLYNOMIAL)
         assert roots.dtype == np.complex128
-        fp = formants(fix_roots(roots), FS)
+        fp = formants(fix_roots(roots))
         assert tuple(fp) == (0.0, 0.0)
 
     def test_all_real_roots_come_back_complex(self):
@@ -592,7 +625,7 @@ class TestFormantsOracle:
     @given(st.lists(_root_kinds, min_size=0, max_size=14))
     def test_equals_scalar_loop(self, roots):
         roots = np.array(roots, dtype=np.complex128)
-        got = formants(roots, FS)
+        got = formants(roots)
         assert got.tobytes() == _reference_formants(roots, FS).tobytes()
 
     def test_equals_scalar_loop_on_conjugate_pairs(self):
@@ -600,7 +633,7 @@ class TestFormantsOracle:
         for _ in range(200):
             upper = _polar(rng.uniform(0, 8000, 6), rng.uniform(0.5, 1.0, 6))
             roots = np.concatenate([upper, np.conj(upper)])
-            got = formants(roots, FS)
+            got = formants(roots)
             assert got.tobytes() == _reference_formants(roots, FS).tobytes()
 
     def test_candidate_exactly_at_low_cut_is_kept(self):
@@ -614,8 +647,8 @@ class TestFormantsOracle:
         else:
             raise AssertionError("no root with a computed frequency of exactly 90 Hz")
         roots = np.array([root, np.conj(root)])
-        assert formants(roots, FS).tobytes() == _reference_formants(roots, FS).tobytes()
-        assert formants(roots, FS)[0] == 90.0
+        assert formants(roots).tobytes() == _reference_formants(roots, FS).tobytes()
+        assert formants(roots)[0] == 90.0
 
 
 def _token_formants(noise_db: float, f0_low: float = 95.0, f0_high: float = 235.0,
@@ -644,7 +677,7 @@ def _recovered(pairs: np.ndarray) -> np.ndarray:
 
     The synthesizer jitters each token's centres by +/-25 and +/-50 Hz.
     """
-    f1_c, f2_c = SynthConfig().confirmation_formants
+    f1_c, f2_c = CONFIRMATION_FORMANTS
     return (np.abs(pairs[:, 0] - f1_c) <= 75.0) & (np.abs(pairs[:, 1] - f2_c) <= 150.0)
 
 
