@@ -32,6 +32,7 @@ from .corpus import (
     load_segments,
     load_wav,
     manifest_segment,
+    manifest_wav,
     parse_manifest,
     split_corpus,
     vad_segments,
@@ -156,7 +157,8 @@ def cmd_synth_corpus(args: argparse.Namespace, ctx: RunContext) -> dict:
         confirmation_rate=args.confirmation_rate,
         seed=args.seed,
     )
-    manifest = generate_corpus(ctx.out_dir, config)
+    with ctx.stats.stage("synthesize"):
+        manifest = generate_corpus(ctx.out_dir, config, ctx.stats)
     print(f"wrote {manifest}")
     return {"manifest": str(manifest)}
 
@@ -332,8 +334,9 @@ def cmd_listen(args: argparse.Namespace, ctx: RunContext) -> dict:
         bundle = load_model(args.model)
         audio = load_wav(args.wav)
         if args.manifest:  # the rows of this WAV only, cut from the audio loaded above
+            wav = Path(args.wav).resolve()
             segments = [manifest_segment(d, audio) for d in parse_manifest(args.manifest)
-                        if Path(d.wav_path).name == Path(args.wav).name]
+                        if manifest_wav(d, args.manifest).resolve() == wav]
             if not segments:
                 raise DataError(f"manifest has no segments for {args.wav}")
         else:

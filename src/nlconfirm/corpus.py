@@ -11,9 +11,10 @@ import csv
 import enum
 import io
 import wave
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -180,14 +181,29 @@ def load_wav(path: str | Path) -> AudioBuffer:
     return AudioBuffer(samples, SAMPLE_RATE)
 
 
-def write_wav(path: str | Path, audio: AudioBuffer) -> None:
-    """Write an AudioBuffer as mono 16-bit PCM WAV."""
-    ints = np.clip(np.round(audio.samples * 32768.0), -32768, 32767).astype("<i2")
+def pcm16(audio: AudioBuffer) -> bytes:
+    """Samples as 16-bit little-endian PCM: scaled by 32768, rounded, clipped."""
+    return np.clip(np.round(audio.samples * 32768.0), -32768, 32767).astype("<i2").tobytes()
+
+
+@contextmanager
+def wav_writer(path: str | Path, sample_rate: int) -> Iterator[wave.Wave_write]:
+    """An open mono 16-bit PCM WAV; write `pcm16` bytes with `writeframes`.
+
+    The header's sizes are those of all the frames written once it closes,
+    so writing audio piece by piece gives the bytes of one write.
+    """
     with wave.open(str(path), "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
-        wav.setframerate(audio.sample_rate)
-        wav.writeframes(ints.tobytes())
+        wav.setframerate(sample_rate)
+        yield wav
+
+
+def write_wav(path: str | Path, audio: AudioBuffer) -> None:
+    """Write an AudioBuffer as mono 16-bit PCM WAV (see `pcm16`)."""
+    with wav_writer(path, audio.sample_rate) as wav:
+        wav.writeframes(pcm16(audio))
 
 
 # --- manifests ------------------------------------------------------------------
@@ -253,6 +269,12 @@ def write_manifest(descriptors: Iterable[SegmentDescriptor], path: str | Path) -
             writer.writerow([d.wav_path, d.speaker_id, d.start_ms, d.end_ms, d.label.value])
 
 
+def manifest_wav(d: SegmentDescriptor, manifest_path: str | Path) -> Path:
+    """The WAV path of a manifest row: absolute, or relative to the manifest's directory."""
+    wav = Path(d.wav_path)
+    return wav if wav.is_absolute() else Path(manifest_path).parent / wav
+
+
 def manifest_segment(d: SegmentDescriptor, audio: AudioBuffer) -> AudioSegment:
     """The labeled AudioSegment of one manifest row, cut from its loaded audio.
 
@@ -274,16 +296,12 @@ def manifest_segment(d: SegmentDescriptor, audio: AudioBuffer) -> AudioSegment:
 def load_segments(manifest_path: str | Path) -> list[AudioSegment]:
     """Load every manifest row into a labeled AudioSegment (see `manifest_segment`).
 
-    Relative wav paths are resolved against the manifest's directory. Each
-    WAV file is read once.
+    Each row's WAV is found by `manifest_wav` and read once.
     """
-    manifest_path = Path(manifest_path)
-    base = manifest_path.parent
     cache: dict[Path, AudioBuffer] = {}
     segments = []
     for d in parse_manifest(manifest_path):
-        wav = Path(d.wav_path)
-        wav = wav if wav.is_absolute() else base / wav
+        wav = manifest_wav(d, manifest_path)
         if wav not in cache:
             cache[wav] = load_wav(wav)
         segments.append(manifest_segment(d, cache[wav]))

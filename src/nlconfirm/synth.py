@@ -6,6 +6,13 @@ pitch through two fixed vocal-tract-like resonators (stable formants near
 least 400 Hz and modulate the pitch by at least +/-20 percent, mimicking
 regular speech dynamics. Tokens are laid out per speaker into one WAV
 with silence gaps, and a manifest records the spans and labels.
+
+The resonators update their coefficients every 10 ms block. Consecutive
+blocks with equal coefficients (all of a confirmation token's) are
+filtered in one call, which is exact: the filter state one call returns
+is the state the next call starts from. Each gap and token is written to
+its WAV as soon as it is made, so a corpus of any size needs the memory
+of its longest token.
 """
 
 from __future__ import annotations
@@ -17,7 +24,16 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import lfilter
 
-from .corpus import SAMPLE_RATE, AudioBuffer, Label, SegmentDescriptor, write_manifest, write_wav
+from .corpus import (
+    SAMPLE_RATE,
+    AudioBuffer,
+    Label,
+    SegmentDescriptor,
+    pcm16,
+    wav_writer,
+    write_manifest,
+)
+from .stats import Stats
 
 CONTROL_BLOCK = 160  # resonator coefficients update every 10 ms
 CONFIRMATION_FORMANTS = (350.0, 1400.0)  # F1, F2 centers of every confirmation token
@@ -57,6 +73,11 @@ def _ms_to_samples(ms: float) -> int:
     return int(round(ms)) * (SAMPLE_RATE // 1000)
 
 
+_RAMP = _ms_to_samples(30)  # fade-in and fade-out of every token
+_FADE = 0.5 - 0.5 * np.cos(np.pi * np.arange(_RAMP) / _RAMP)
+_FADE.flags.writeable = False
+
+
 def _pulse_train(f0_curve: np.ndarray) -> np.ndarray:
     phase = np.cumsum(f0_curve / SAMPLE_RATE)
     out = np.zeros(f0_curve.size)
@@ -65,45 +86,63 @@ def _pulse_train(f0_curve: np.ndarray) -> np.ndarray:
     return out
 
 
-def _resonate(x: np.ndarray, f1_curve: np.ndarray, f2_curve: np.ndarray) -> np.ndarray:
-    """Cascade of two 2-pole resonators with block-wise coefficient updates."""
+def _resonate(x: np.ndarray, f1_curve: np.ndarray, f2_curve: np.ndarray,
+              stats: Stats | None = None) -> np.ndarray:
+    """Cascade of two 2-pole resonators with block-wise coefficient updates.
+
+    Each CONTROL_BLOCK takes the coefficients of its curve value at the
+    block midpoint. A run of consecutive blocks with equal coefficients is
+    filtered in one `lfilter` call: the direct-form II transposed state
+    that a call returns is the state the next block starts from, so one
+    call over the run does the per-sample arithmetic of one call per
+    block, bit for bit. `stats`, if given, counts the calls (filter_calls).
+    """
+    starts = np.arange(0, x.size, CONTROL_BLOCK)
+    mids = (starts + np.minimum(starts + CONTROL_BLOCK, x.size)) // 2
+    b = np.ones(1)
     y = x
     for curve in (f1_curve, f2_curve):
+        a1 = -2.0 * POLE_RADIUS * np.cos(2.0 * np.pi * curve[mids] / SAMPLE_RATE)
+        firsts = np.flatnonzero(np.r_[True, a1[1:] != a1[:-1]])  # first block of each run
+        runs = np.empty((firsts.size, 3))  # one row of denominator coefficients per run
+        runs[:, 0], runs[:, 1], runs[:, 2] = 1.0, a1[firsts], POLE_RADIUS * POLE_RADIUS
+        bounds = [*starts[firsts].tolist(), x.size]
         out = np.empty_like(y)
         zi = np.zeros(2)
-        for start in range(0, y.size, CONTROL_BLOCK):
-            stop = min(start + CONTROL_BLOCK, y.size)
-            center = curve[(start + stop) // 2]
-            theta = 2.0 * np.pi * center / SAMPLE_RATE
-            a = [1.0, -2.0 * POLE_RADIUS * np.cos(theta), POLE_RADIUS * POLE_RADIUS]
-            out[start:stop], zi = lfilter([1.0], a, y[start:stop], zi=zi)
+        for a, start, stop in zip(runs, bounds, bounds[1:]):
+            out[start:stop], zi = lfilter(b, a, y[start:stop], zi=zi)
+        if stats is not None:
+            stats.count("filter_calls", firsts.size)
         y = out
     return y
 
 
 def _shape_token(token: np.ndarray, peak: float, noise_db: float, rng: np.random.Generator) -> np.ndarray:
-    ramp = _ms_to_samples(30)
-    envelope = np.ones(token.size)
-    fade = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp)
-    envelope[:ramp] = fade
-    envelope[-ramp:] = fade[::-1]
-    token = token * envelope
+    """Fade, peak-normalize, add noise and clip `token`, in place.
+
+    Tokens are at least 300 ms long, so the two 30 ms ramps never overlap;
+    the envelope between them is 1.0, and x * 1.0 is x.
+    """
+    token[:_RAMP] *= _FADE
+    token[-_RAMP:] *= _FADE[::-1]
     token *= peak / max(np.max(np.abs(token)), 1e-12)
     token += rng.normal(0.0, peak * 10.0 ** (noise_db / 20.0), token.size)
-    return np.clip(token, -1.0, 1.0)
+    return np.clip(token, -1.0, 1.0, out=token)
 
 
-def _confirmation_token(rng: np.random.Generator, f0_median: float, cfg: SynthConfig) -> np.ndarray:
+def _confirmation_token(rng: np.random.Generator, f0_median: float, cfg: SynthConfig,
+                        stats: Stats | None = None) -> np.ndarray:
     n = _ms_to_samples(rng.uniform(300, 700))
     f0 = f0_median * (1.0 + rng.uniform(-0.02, 0.02))
     f1_c, f2_c = CONFIRMATION_FORMANTS
     f1 = np.full(n, f1_c + rng.uniform(-25, 25))
     f2 = np.full(n, f2_c + rng.uniform(-50, 50))
-    token = _resonate(_pulse_train(np.full(n, f0)), f1, f2)
+    token = _resonate(_pulse_train(np.full(n, f0)), f1, f2, stats)
     return _shape_token(token, rng.uniform(0.18, 0.32), cfg.noise_db, rng)
 
 
-def _other_token(rng: np.random.Generator, f0_median: float, cfg: SynthConfig) -> np.ndarray:
+def _other_token(rng: np.random.Generator, f0_median: float, cfg: SynthConfig,
+                 stats: Stats | None = None) -> np.ndarray:
     n = _ms_to_samples(rng.uniform(500, 3000))
     t = np.arange(n) / n
     # pitch excursion of at least +/-20 percent around the speaker median
@@ -117,15 +156,19 @@ def _other_token(rng: np.random.Generator, f0_median: float, cfg: SynthConfig) -
     hi2 = lo2 + rng.uniform(400, 800)
     f1 = np.linspace(lo1, hi1, n) if rng.random() < 0.5 else np.linspace(hi1, lo1, n)
     f2 = np.linspace(lo2, hi2, n) if rng.random() < 0.5 else np.linspace(hi2, lo2, n)
-    token = _resonate(_pulse_train(f0), f1, f2)
+    token = _resonate(_pulse_train(f0), f1, f2, stats)
     return _shape_token(token, rng.uniform(0.18, 0.32), cfg.noise_db, rng)
 
 
-def generate_corpus(out_dir: str | Path, config: SynthConfig = SynthConfig()) -> Path:
+def generate_corpus(out_dir: str | Path, config: SynthConfig = SynthConfig(),
+                    stats: Stats | None = None) -> Path:
     """Write per-speaker WAVs plus manifest.csv and meta.json; returns the manifest path.
 
     Every speaker gets at least 2 confirmations, whatever the rate (see
-    SynthConfig).
+    SynthConfig). Each gap and token is written to its speaker's WAV as it
+    is made, so memory is bounded by the longest token. `stats`, if given,
+    counts segments, samples (written to the WAVs, silence included) and
+    filter_calls.
     """
     out_dir = Path(out_dir)
     wav_dir = out_dir / "wavs"
@@ -139,31 +182,30 @@ def generate_corpus(out_dir: str | Path, config: SynthConfig = SynthConfig()) ->
         n_confirm = max(2, round(config.confirmation_rate * n_segments))
         kinds = np.array([True] * n_confirm + [False] * (n_segments - n_confirm))
         rng.shuffle(kinds)
-        pieces = []
-        cursor = 0
         wav_name = f"wavs/{speaker_id}.wav"
-        for is_confirmation in kinds:
-            gap = np.zeros(_ms_to_samples(rng.uniform(300, 600)))
-            pieces.append(gap)
-            cursor += gap.size
-            token = (
-                _confirmation_token(rng, f0_median, config)
-                if is_confirmation
-                else _other_token(rng, f0_median, config)
-            )
-            start_ms = cursor * 1000 // SAMPLE_RATE
-            end_ms = (cursor + token.size) * 1000 // SAMPLE_RATE
-            descriptors.append(SegmentDescriptor(
-                wav_path=wav_name,
-                speaker_id=speaker_id,
-                start_ms=int(start_ms),
-                end_ms=int(end_ms),
-                label=Label.CONFIRMATION if is_confirmation else Label.OTHER,
-            ))
-            pieces.append(token)
-            cursor += token.size
-        pieces.append(np.zeros(_ms_to_samples(400)))
-        write_wav(out_dir / wav_name, AudioBuffer(np.concatenate(pieces)))
+        with wav_writer(out_dir / wav_name, SAMPLE_RATE) as wav:
+            for is_confirmation in kinds:
+                gap = np.zeros(_ms_to_samples(rng.uniform(300, 600)))
+                wav.writeframes(pcm16(AudioBuffer(gap)))
+                token = (
+                    _confirmation_token(rng, f0_median, config, stats)
+                    if is_confirmation
+                    else _other_token(rng, f0_median, config, stats)
+                )
+                start = wav.tell()  # frames written so far
+                descriptors.append(SegmentDescriptor(
+                    wav_path=wav_name,
+                    speaker_id=speaker_id,
+                    start_ms=start * 1000 // SAMPLE_RATE,
+                    end_ms=(start + token.size) * 1000 // SAMPLE_RATE,
+                    label=Label.CONFIRMATION if is_confirmation else Label.OTHER,
+                ))
+                wav.writeframes(pcm16(AudioBuffer(token)))
+            wav.writeframes(pcm16(AudioBuffer(np.zeros(_ms_to_samples(400)))))
+            if stats is not None:
+                stats.count("samples", wav.tell())
+    if stats is not None:
+        stats.count("segments", len(descriptors))
     manifest = out_dir / "manifest.csv"
     write_manifest(descriptors, manifest)
     (out_dir / "meta.json").write_text(json.dumps(config.to_dict(), indent=2))

@@ -11,11 +11,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 import nlconfirm
-from nlconfirm import cli
+from nlconfirm import cli, synth
 from nlconfirm.cli import main
-from nlconfirm.corpus import AudioBuffer, frame_stream, load_segments, parse_manifest, write_wav
+from nlconfirm.corpus import (
+    AudioBuffer,
+    frame_stream,
+    load_segments,
+    load_wav,
+    parse_manifest,
+    write_wav,
+)
 from nlconfirm.dsp import (
     WindowKind,
     apply_window,
@@ -120,7 +128,7 @@ def test_evaluate_writes_reports(corpus_dir, tmp_path):
     assert roc_rows[-1] == "1,1"
 
 
-def test_run_metadata_records_stages_and_counters(corpus_dir, model_dir, tmp_path):
+def test_run_metadata_records_stages_and_counters(corpus_dir, model_dir, tmp_path, monkeypatch):
     manifest = corpus_dir / "manifest.csv"
     wav = corpus_dir / "wavs" / "spk00.wav"
     segments = load_segments(manifest)
@@ -147,6 +155,20 @@ def test_run_metadata_records_stages_and_counters(corpus_dir, model_dir, tmp_pat
         assert sum(meta["stages"].values()) <= meta["duration_s"] + 1e-3
         assert meta["counters"]["frames"] == expected_frames, command
         assert 0 < meta["counters"]["vectors"] <= meta["counters"]["frames"]
+    # synth-corpus counts its rows, the samples of its WAVs and its lfilter calls
+    calls = []
+    monkeypatch.setattr(synth, "lfilter", lambda *a, **k: calls.append(1) or lfilter(*a, **k))
+    out = tmp_path / "synth-corpus"
+    assert run("synth-corpus", "--out", out, "--speakers", 3, "--segments-per-speaker", 6,
+               "--confirmation-rate", 0.34, "--seed", 5) == 0
+    meta = json.loads((out / "run_metadata.json").read_text())
+    assert set(meta["stages"]) == {"synthesize"}
+    assert meta["stages"]["synthesize"] <= meta["duration_s"] + 1e-3
+    assert meta["counters"] == {
+        "segments": 18,
+        "samples": sum(len(load_wav(wav)) for wav in (out / "wavs").glob("*.wav")),
+        "filter_calls": len(calls),
+    }
 
 
 def test_evaluate_scores_equal_streamed_scores(corpus_dir, tmp_path, monkeypatch):
@@ -344,6 +366,28 @@ def test_listen_manifest_reads_only_the_listened_wav(corpus_dir, model_dir, tmp_
     assert present  # spk00 has confirmations that trigger
     (root / "wavs" / "spk02.wav").unlink()
     assert listen(tmp_path / "missing") == present
+
+
+def test_listen_manifest_skips_rows_of_a_same_named_wav_elsewhere(corpus_dir, model_dir, tmp_path):
+    # rows of b/spk00.wav (another speaker's audio) are not rows of wavs/spk00.wav
+    root = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, root)
+    (root / "b").mkdir()
+    shutil.copy(root / "wavs" / "spk01.wav", root / "b" / "spk00.wav")
+    rows = (root / "manifest.csv").read_text().splitlines()
+    foreign = [row.replace("wavs/spk01.wav", "b/spk00.wav")
+               for row in rows if "wavs/spk01.wav" in row]
+    assert foreign
+    (root / "mixed.csv").write_text("\n".join(rows + foreign) + "\n")
+
+    def listen(manifest, out):
+        assert run("listen", "--wav", root / "wavs" / "spk00.wav", "--model",
+                   model_dir / "model.nlcm", "--manifest", manifest, "--out", out) == 0
+        frames = json.loads((out / "run_metadata.json").read_text())["counters"]["frames"]
+        return (out / "triggers.ndjson").read_bytes(), frames
+
+    assert listen(root / "mixed.csv", tmp_path / "mixed") == listen(root / "manifest.csv",
+                                                                    tmp_path / "clean")
 
 
 def test_exit_code_data_error(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from nlconfirm.corpus import (
     FRAME_LEN,
     HOP_LEN,
+    SAMPLE_RATE,
     AudioBuffer,
     Label,
     SegmentDescriptor,
@@ -19,8 +20,10 @@ from nlconfirm.corpus import (
     load_segments,
     load_wav,
     parse_manifest,
+    pcm16,
     split_corpus,
     vad_segments,
+    wav_writer,
     write_manifest,
     write_wav,
 )
@@ -110,6 +113,16 @@ class TestLoadWav:
         write_wav(p, AudioBuffer(samples))
         back = load_wav(p)
         assert np.max(np.abs(back.samples - samples)) < 1.0 / 32768
+
+    def test_pieces_written_in_turn_give_the_bytes_of_one_write(self, tmp_path):
+        samples = np.random.default_rng(0).uniform(-1.0, 1.0, 5000)
+        samples[[10, 3000]] = 1.0, -1.0  # full scale: +1.0 clips to 32767
+        write_wav(tmp_path / "whole.wav", AudioBuffer(samples))
+        with wav_writer(tmp_path / "pieces.wav", SAMPLE_RATE) as wav:
+            for piece in np.split(samples, [0, 1, 160, 3000, 3001]):  # the first is empty
+                wav.writeframes(pcm16(AudioBuffer(piece)))
+        assert (tmp_path / "pieces.wav").read_bytes() == (tmp_path / "whole.wav").read_bytes()
+        assert load_wav(tmp_path / "pieces.wav").samples[[10, 3000]].tolist() == [32767 / 32768, -1.0]
 
 
 class TestManifest:

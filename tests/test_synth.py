@@ -1,12 +1,23 @@
 """Synthetic corpus generation."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
-from nlconfirm.corpus import Label, load_segments, load_wav, parse_manifest
-from nlconfirm.synth import SynthConfig, generate_corpus
+from nlconfirm.corpus import SAMPLE_RATE, Label, load_segments, load_wav, parse_manifest
+from nlconfirm.synth import (
+    CONTROL_BLOCK,
+    POLE_RADIUS,
+    SynthConfig,
+    _resonate,
+    _shape_token,
+    generate_corpus,
+)
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +76,103 @@ def test_deterministic_given_seed(tmp_path):
         ha = hashlib.sha256(wav_a.read_bytes()).hexdigest()
         hb = hashlib.sha256(wav_b.read_bytes()).hexdigest()
         assert ha == hb
+
+
+def resonate_per_block(x, f1_curve, f2_curve):
+    """The reference resonator cascade: one `lfilter` call per CONTROL_BLOCK."""
+    y = x
+    for curve in (f1_curve, f2_curve):
+        out = np.empty_like(y)
+        zi = np.zeros(2)
+        for start in range(0, y.size, CONTROL_BLOCK):
+            stop = min(start + CONTROL_BLOCK, y.size)
+            center = curve[(start + stop) // 2]
+            theta = 2.0 * np.pi * center / SAMPLE_RATE
+            a = [1.0, -2.0 * POLE_RADIUS * np.cos(theta), POLE_RADIUS * POLE_RADIUS]
+            out[start:stop], zi = lfilter([1.0], a, y[start:stop], zi=zi)
+        y = out
+    return y
+
+
+@st.composite
+def formant_curve(draw, n):
+    """A constant, a sweep either way, or a staircase of two levels."""
+    lo = draw(st.floats(150.0, 3000.0))
+    hi = lo + draw(st.floats(1.0, 1500.0))
+    shape = draw(st.sampled_from(["constant", "up", "down", "steps"]))
+    if shape == "constant":
+        return np.full(n, lo)
+    if shape == "up":
+        return np.linspace(lo, hi, n)
+    if shape == "down":
+        return np.linspace(hi, lo, n)
+    # adjacent block midpoints repeat within a step
+    edges = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+    levels = draw(st.lists(st.sampled_from([lo, hi]), min_size=len(edges) + 1,
+                           max_size=len(edges) + 1))
+    return np.concatenate([np.full(b - a, v) for a, b, v in zip([0, *edges], [*edges, n], levels)])
+
+
+class TestResonateOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_merged_runs_equal_the_per_block_loop(self, data):
+        # lengths below one block and not a multiple of it included
+        n = data.draw(st.one_of(st.integers(1, 2 * CONTROL_BLOCK), st.integers(1, 5000)))
+        x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=n)
+        f1 = data.draw(formant_curve(n))
+        f2 = data.draw(formant_curve(n))
+        assert _resonate(x, f1, f2).tobytes() == resonate_per_block(x, f1, f2).tobytes()
+
+    def test_a_constant_curve_takes_one_filter_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].size)
+            return lfilter(*args, **kwargs)
+
+        monkeypatch.setattr("nlconfirm.synth.lfilter", counted)
+        x = np.random.default_rng(0).normal(size=1000)
+        _resonate(x, np.full(1000, 350.0), np.full(1000, 1400.0))
+        assert calls == [1000, 1000]
+
+
+def shape_token_with_envelope(token, peak, noise_db, rng):
+    """The reference shaping: a whole-token envelope of ones and two 30 ms ramps."""
+    ramp = 30 * SAMPLE_RATE // 1000
+    envelope = np.ones(token.size)
+    fade = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp)
+    envelope[:ramp] = fade
+    envelope[-ramp:] = fade[::-1]
+    token = token * envelope
+    token *= peak / max(np.max(np.abs(token)), 1e-12)
+    token += rng.normal(0.0, peak * 10.0 ** (noise_db / 20.0), token.size)
+    return np.clip(token, -1.0, 1.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(4800, 20000), seed=st.integers(0, 2**32 - 1),
+       peak=st.floats(0.18, 0.32), noise_db=st.floats(-60.0, 0.0))
+def test_ramps_shaped_in_place_equal_the_whole_envelope(n, seed, peak, noise_db):
+    # tokens are at least 300 ms (4800 samples) long
+    token = np.random.default_rng(seed).normal(size=n)
+    expected = shape_token_with_envelope(token, peak, noise_db, np.random.default_rng(seed))
+    shaped = _shape_token(token, peak, noise_db, np.random.default_rng(seed))
+    assert shaped.tobytes() == expected.tobytes()
+
+
+def _traced_peak(out, config):
+    tracemalloc.start()
+    try:
+        generate_corpus(out, config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_segments_per_speaker(tmp_path):
+    # each gap and token goes to the WAV as it is made: the peak is one
+    # token's, and both corpora hold tokens near the longest (3 s)
+    few = _traced_peak(tmp_path / "few", SynthConfig(speakers=2, segments_per_speaker=5, seed=0))
+    many = _traced_peak(tmp_path / "many", SynthConfig(speakers=2, segments_per_speaker=40, seed=0))
+    assert many <= 1.5 * few
