@@ -8,12 +8,24 @@ filters. The real-typed solver returns real roots with an imaginary part
 of exactly 0, so a real root near -1 has angle pi and is no formant
 candidate.
 
+Every eigenvalue call goes through one seam, `_eigvals`, which calls the
+gufunc `numpy.linalg._umath_linalg.eigvals` with the real-input signature
+"d->D": the call `np.linalg.eigvals` itself makes, so the roots keep their
+bits. The wrapper around that call (rank, squareness, finiteness and type
+checks, a scan for an all-real result and a cast back) costs a large part
+of a 12 x 12 solve, once per streamed frame, and the chain has already
+made sure of everything it checks. The seam keeps the wrapper's one
+verdict: the gufunc marks a matrix whose eigenvalues do not converge with
+NaN and the floating-point invalid flag, which the seam turns into the
+same LinAlgError. Tests pin its bits to
+`np.linalg.eigvals(m).astype(np.complex128)`.
+
 `lpc`, `lpc_polynomial`, `polynomial_roots`, `fix_roots` and `formants`
 also take a (k, ·) block, one frame (or polynomial, or root set) per row,
 and give each row the bits of a call on that row alone: the lags come from
 one batched product with the 1-D dot loop, Levinson runs across rows in the
 1-D order of operations, the companion matrices go to one stacked
-`np.linalg.eigvals` call, and the picking is one masked sort. A row the 1-D
+`_eigvals` call, and the picking is one masked sort. A row the 1-D
 call would not finish comes back NaN: one it would reject (zero or
 subnormal energy, a root that misses the residual bound) or solve at a
 lower degree (a recursion that stops early, a zero last coefficient). The
@@ -28,6 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from ..corpus import SAMPLE_RATE
 from ..errors import DegenerateFrame, NumericalFailure
@@ -145,22 +158,22 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
     first root that misses that residual bound. It is also raised for a
     NaN or infinite coefficient (before any root is solved), when the
     companion row -c[1:] / c[0] overflows (a leading coefficient so small,
-    subnormal say, that the row is not finite) and when `np.linalg.eigvals`
-    does not converge. Leading zero coefficients are dropped and trailing
-    ones give roots at the origin; a polynomial with neither (every LPC
-    polynomial) skips that scan.
+    subnormal say, that the row is not finite) and when the eigenvalues do
+    not converge (`_eigvals` raises LinAlgError). Leading zero coefficients
+    are dropped and trailing ones give roots at the origin; a polynomial
+    with neither (every LPC polynomial) skips that scan.
 
     A (k, m) block gives (k, m - 1) roots, each row bitwise that of its
     polynomial: the companion matrices of all rows go to one stacked
-    `np.linalg.eigvals` call, and one Horner pass checks every root. Rows
+    `_eigvals` call, and one Horner pass checks every root. Rows
     the 1-D call would solve at a lower degree (a zero first or last
     coefficient), cannot solve (NaN or infinite coefficients) or would
     reject (an overflowing companion row, a root that misses the residual
     bound) are NaN; the block call itself does not raise NumericalFailure.
-    When the stacked `eigvals` does not converge, that block's rows are
+    When the stacked `_eigvals` does not converge, that block's rows are
     solved one by one, and the rows that do not converge alone are NaN.
     """
-    c = np.atleast_1d(np.asarray(coefficients, dtype=np.float64))
+    c = np.asarray(coefficients, dtype=np.float64)
     if c.ndim == 2:
         k, m = c.shape
         if m < 2:
@@ -174,13 +187,13 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
         companion = np.tile(_subdiagonal(m - 1), (len(c), 1, 1))
         companion[:, 0, :] = top[solvable]
         try:
-            found = np.linalg.eigvals(companion).astype(np.complex128, copy=False)
-        except np.linalg.LinAlgError:
+            found = _eigvals(companion)
+        except LinAlgError:
             found = np.full((len(c), m - 1), np.nan, dtype=np.complex128)
             for i, matrix in enumerate(companion):
                 try:
-                    found[i] = np.linalg.eigvals(matrix)
-                except np.linalg.LinAlgError:
+                    found[i] = _eigvals(matrix)
+                except LinAlgError:
                     pass  # the row stays NaN
         # one Horner pass over all rows: [:, 0] is p(r), [:, 1] the bound
         steps = np.stack((c, np.abs(c)), axis=1).astype(np.complex128)
@@ -192,6 +205,8 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
         found[(np.abs(value[:, 0]) > residual_tol * value[:, 1].real).any(axis=1)] = np.nan
         roots[solvable] = found
         return roots
+    if c.ndim == 0:
+        c = c.reshape(1)
     if c.size >= 2 and 0.0 < abs(c[0]) < np.inf and c[-1] != 0.0:  # nothing to deflate
         return _checked_roots(c, 0, residual_tol)  # which rejects a NaN or inf after c[0]
     if not np.isfinite(c).all():  # the scans below would take a NaN for a nonzero
@@ -208,6 +223,22 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
         c = c[:-1]
         tail += 1
     return _checked_roots(c, tail, residual_tol)
+
+
+def _eigvals(companions: np.ndarray) -> np.ndarray:
+    """Complex128 eigenvalues of a real (n, n) matrix or of each matrix of a (k, n, n) stack.
+
+    Calls the gufunc that `np.linalg.eigvals` calls, so the bits are those of
+    `np.linalg.eigvals(companions).astype(np.complex128)`, without its
+    checks and conversions. A matrix whose eigenvalues do not converge
+    leaves NaN and sets the invalid flag; that raises LinAlgError, as
+    `np.linalg.eigvals` does.
+    """
+    with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="raise"):
+        try:
+            return _umath_linalg.eigvals(companions, signature="d->D")
+        except FloatingPointError:
+            raise LinAlgError("Eigenvalues did not converge") from None
 
 
 @lru_cache(maxsize=16)
@@ -232,16 +263,17 @@ def _checked_roots(c: np.ndarray, tail: int, residual_tol: float) -> np.ndarray:
     if c.size >= 2:
         companion = _subdiagonal(c.size - 1).copy()
         with np.errstate(over="ignore"):
-            companion[0, :] = -c[1:] / c[0]  # a tiny c[0] overflows it
+            np.divide(c[1:], -c[0], out=companion[0])  # -c[1:] / c[0]; a tiny c[0] overflows it
         if not np.isfinite(companion[0]).all():  # the block call's test of its rows
             raise NumericalFailure(f"companion row of {c.tolist()} is not finite")
         try:
-            roots[:c.size - 1] = np.linalg.eigvals(companion)
-        except np.linalg.LinAlgError as exc:
+            roots[:c.size - 1] = _eigvals(companion)
+        except LinAlgError as exc:
             raise NumericalFailure(f"eigenvalues of the companion matrix of {c.tolist()} "
                                    "did not converge") from exc
-    point[1] = np.maximum(np.abs(roots), 1e-300)
-    # step i adds c_i to row 0 and |c_i| to row 1, spelled out per root
+    np.maximum(np.abs(roots), 1e-300, out=point[1].real)
+    # step i adds c_i to row 0 and |c_i| to row 1, spelled out per root: an
+    # operand of point's shape keeps each in-place ufunc on its fast path
     steps = np.zeros((m, 2, m - 1), dtype=np.complex128)
     steps[:c.size, 0] = c[:, None]
     steps[:c.size, 1] = np.abs(c)[:, None]
@@ -251,9 +283,9 @@ def _checked_roots(c: np.ndarray, tail: int, residual_tol: float) -> np.ndarray:
         value += step
     residual = np.abs(value[0])
     scale = value[1].real
-    failed = np.flatnonzero(residual > residual_tol * scale)
-    if failed.size:
-        i = failed[0]
+    failed = residual > residual_tol * scale
+    if failed.any():
+        i = failed.argmax()
         raise NumericalFailure(
             f"root {roots[i]} residual {residual[i]:.3e} exceeds {residual_tol:.0e} * scale {scale[i]:.3e}"
         )
@@ -261,12 +293,17 @@ def _checked_roots(c: np.ndarray, tail: int, residual_tol: float) -> np.ndarray:
 
 
 def fix_roots(roots: np.ndarray) -> np.ndarray:
-    """Reflect roots outside the unit circle to 1/conj(r); angle is preserved. Any shape."""
+    """Reflect roots outside the unit circle to 1/conj(r); angle is preserved. Any shape.
+
+    With no root outside (as for every LPC polynomial of a stable fit), the
+    complex128 array of `roots` comes back as it is, not copied.
+    """
     roots = np.asarray(roots, dtype=np.complex128)
-    out = roots.copy()
     outside = np.abs(roots) > 1.0
-    if outside.any():
-        out[outside] = 1.0 / np.conj(roots[outside])
+    if not outside.any():
+        return roots
+    out = roots.copy()
+    out[outside] = 1.0 / np.conj(roots[outside])
     return out
 
 
@@ -276,7 +313,12 @@ def formants(roots: np.ndarray) -> np.ndarray:
     Candidates are roots with angle in (0, pi); frequency = angle * fs / 2pi
     and bandwidth = -(fs/pi) * ln|r|. Candidates below 90 Hz or wider than
     400 Hz bandwidth are discarded; the two lowest survivors are returned
-    as a (2,) array, padded with 0 (an absent formant).
+    as a (2,) array, padded with 0 (an absent formant). One root set picks
+    on Python floats, whose products, quotients and comparisons are those
+    of numpy's float64 arrays; the angles and logarithms come from numpy.
+    It keeps the two lowest in one pass, in the order a sort would give,
+    without the lists and generator of a sort: fewer objects for the cyclic
+    garbage collector, whose pauses land in whichever call allocates.
 
     A (k, m) block of root sets gives (k, 2), each row bitwise that of its
     root set: the survivors are picked with one masked sort. A row holding
@@ -284,18 +326,30 @@ def formants(roots: np.ndarray) -> np.ndarray:
     """
     roots = np.asarray(roots, dtype=np.complex128)
     angle = np.arctan2(roots.imag, roots.real)
+    if roots.ndim == 1:
+        upper, freq = [], []
+        for i, a in enumerate(angle.tolist()):
+            f = a * SAMPLE_RATE / (2.0 * np.pi)
+            if f >= FORMANT_MIN_HZ and a < np.pi:  # f > 0 implies angle > 0, hence |r| > 0
+                upper.append(i)
+                freq.append(f)
+        first = second = np.inf
+        for f, log_radius in zip(freq, np.log(np.abs(roots[upper])).tolist()):
+            if -(SAMPLE_RATE / np.pi) * log_radius <= FORMANT_MAX_BANDWIDTH_HZ:
+                if f < first:
+                    first, second = f, first
+                elif f < second:
+                    second = f
+        return np.array((first if first < np.inf else 0.0, second if second < np.inf else 0.0))
     freq = angle * SAMPLE_RATE / (2.0 * np.pi)
     # freq >= FORMANT_MIN_HZ > 0 implies angle > 0, hence |r| > 0
     upper = (freq >= FORMANT_MIN_HZ) & (angle < np.pi)
     bandwidth = -(SAMPLE_RATE / np.pi) * np.log(np.abs(roots[upper]))
-    if roots.ndim == 2:
-        kept = upper.copy()
-        kept[upper] = bandwidth <= FORMANT_MAX_BANDWIDTH_HZ
-        candidates = np.full((len(roots), roots.shape[1] + 2), np.inf)  # two inf pads per row
-        candidates[:, :-2] = np.where(kept, freq, np.inf)
-        pair = np.sort(candidates, axis=1)[:, :2]
-        pair[np.isinf(pair)] = 0.0
-        pair[np.isnan(roots).any(axis=1)] = np.nan
-        return pair
-    kept = freq[upper][bandwidth <= FORMANT_MAX_BANDWIDTH_HZ]
-    return np.array((sorted(kept.tolist()) + [0.0, 0.0])[:2])
+    kept = upper.copy()
+    kept[upper] = bandwidth <= FORMANT_MAX_BANDWIDTH_HZ
+    candidates = np.full((len(roots), roots.shape[1] + 2), np.inf)  # two inf pads per row
+    candidates[:, :-2] = np.where(kept, freq, np.inf)
+    pair = np.sort(candidates, axis=1)[:, :2]
+    pair[np.isinf(pair)] = 0.0
+    pair[np.isnan(roots).any(axis=1)] = np.nan
+    return pair

@@ -196,7 +196,7 @@ def run_louo_folds(
         rest = [s for s in speakers if s.speaker_id != held_out.speaker_id]
         chain = fit_chain(rest, config, seed=_fold_seed(seed, held_out.speaker_id))
         svms, supports = _grid_models(chain, points)
-        z = chain.normalizer.transform(held_out.vectors)  # as ModelBundle.project
+        z = chain.normalizer.transform(held_out.vectors)
         if chain.pca is not None:
             z = chain.pca.transform(z)
         for gamma in dict.fromkeys(p.gamma for p in points):

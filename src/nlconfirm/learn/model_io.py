@@ -23,7 +23,7 @@ from ..errors import CorruptModel, DimensionMismatch, VersionMismatch
 from ..featset import FeatureSetConfig
 from .normalize import NormalizerStats
 from .pca import PcaTransform
-from .svm import SvmHyperParams, SvmModel, decision_value, decision_values
+from .svm import SvmHyperParams, SvmModel, _decision, decision_values
 
 MAGIC = b"NLCM"
 FORMAT_VERSION = 1
@@ -55,14 +55,24 @@ class ModelBundle:
         if self.svm.dimension != expected:
             raise DimensionMismatch(f"SVM dim {self.svm.dimension} != projected dim {expected}")
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Normalize (and PCA-project) raw feature vectors."""
-        z = self.normalizer.transform(x)
-        return z if self.pca is None else self.pca.transform(z)
-
     def decide(self, x: np.ndarray) -> float:
-        """Decision value for one raw feature vector."""
-        return decision_value(self.svm, self.project(x))
+        """Decision value for one raw feature vector.
+
+        Raises DimensionMismatch for anything but one vector of raw_dimension
+        values. The vector is checked once, normalized and PCA-projected
+        with the arithmetic of `NormalizerStats.transform` and
+        `PcaTransform.transform`, and scored as `decision_value` scores.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 1:
+            raise DimensionMismatch("decide expects a single vector")
+        if x.size != self.normalizer.dimension:
+            raise DimensionMismatch(f"vector dim {x.size} != raw dim {self.normalizer.dimension}")
+        z = x - self.normalizer.mean
+        z /= self.normalizer.std
+        if self.pca is not None:
+            z = (z - self.pca.mean) @ self.pca.basis.T
+        return _decision(self.svm, z)
 
     def decide_many(self, x: np.ndarray) -> np.ndarray:
         """Decision values for an (n, raw_dim) matrix of raw feature vectors.

@@ -270,12 +270,29 @@ def decision_values(model: SvmModel, x: np.ndarray) -> np.ndarray:
 
 
 def decision_value(model: SvmModel, x: np.ndarray) -> float:
-    """Decision function for one vector; positive means confirmation."""
+    """Decision function for one vector; positive means confirmation.
+
+    Raises DimensionMismatch unless x is one vector of the model's
+    dimension, then scores it with `_decision`.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise DimensionMismatch("decision_value expects a single vector")
     if x.size != model.dimension:
         raise DimensionMismatch(f"vector dim {x.size} != model dim {model.dimension}")
+    return _decision(model, x)
+
+
+def _decision(model: SvmModel, x: np.ndarray) -> float:
+    """Decision value of one float64 vector of the model's dimension, unchecked.
+
+    Differences to the support vectors, squared in place and summed per
+    support vector, times -gamma, exp, then one dot product with the signed
+    alphas plus the bias: the arithmetic `decision_values` repeats per row.
+    """
     diff = model.support_vectors - x
-    k = np.exp(-model.gamma * (diff * diff).sum(axis=1))
+    diff *= diff
+    k = np.add.reduce(diff, axis=1)
+    k *= -model.gamma
+    np.exp(k, out=k)
     return float(k @ model.alphas_signed + model.bias)

@@ -1,13 +1,17 @@
 """LPC analysis, polynomial roots and formant extraction."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.linalg import _umath_linalg
 
 from nlconfirm.corpus import FRAME_LEN, HOP_LEN
 from nlconfirm.dsp import (
+    LPC_ORDER,
     WindowKind,
     apply_window,
     fix_roots,
@@ -22,6 +26,8 @@ from nlconfirm.featset import _formant_pair
 from nlconfirm.synth import CONFIRMATION_FORMANTS, SynthConfig, _confirmation_token
 
 from .conftest import resonator_signal
+
+lpc_module = importlib.import_module("nlconfirm.dsp.lpc")  # `nlconfirm.dsp.lpc` is the function
 
 FS = 16000
 TINY = float(np.finfo(np.float64).tiny)  # smallest normal float
@@ -134,9 +140,78 @@ class TestPolynomialRoots:
         def no_convergence(matrix):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+        monkeypatch.setattr(lpc_module, "_eigvals", no_convergence)
         with pytest.raises(NumericalFailure, match="did not converge"):
             polynomial_roots([1.0, -3.0, 2.0])
+
+
+@st.composite
+def companion_stacks(draw):
+    """A stack of 1-4 companion matrices of one degree.
+
+    Each matrix's real polynomial has all-real, mixed or all-complex roots.
+    """
+    degree = draw(st.integers(1, LPC_ORDER))
+    kinds = ["real"] + ["complex"] * (degree >= 2) + ["mixed"] * (degree >= 3)
+    matrices = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(kinds))
+        pairs = {"real": 0, "complex": degree // 2}.get(kind)
+        if pairs is None:
+            pairs = draw(st.integers(1, (degree - 1) // 2))
+        real = draw(st.lists(st.floats(-2.0, 2.0), min_size=degree - 2 * pairs,
+                             max_size=degree - 2 * pairs))
+        polar = st.tuples(st.floats(0.05, 1.5), st.floats(0.01, 3.13))
+        upper = [radius * np.exp(1j * angle)
+                 for radius, angle in draw(st.lists(polar, min_size=pairs, max_size=pairs))]
+        poly = np.poly(np.array(real + upper + np.conj(upper).tolist(), dtype=np.complex128)).real
+        companion = np.eye(degree, k=-1)
+        companion[0] = -poly[1:] / poly[0]
+        matrices.append(companion)
+    return np.stack(matrices)
+
+
+class TestEigvalsSeam:
+    """`_eigvals` calls numpy's eigvals gufunc directly; both paths of polynomial_roots use it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(companion_stacks())
+    def test_bits_of_numpy_eigvals(self, stack):
+        want = np.linalg.eigvals(stack).astype(np.complex128)
+        assert lpc_module._eigvals(stack).tobytes() == want.tobytes()
+        for matrix, row in zip(stack, want):
+            single = np.linalg.eigvals(matrix).astype(np.complex128)
+            assert lpc_module._eigvals(matrix).tobytes() == single.tobytes()
+            assert single.tobytes() == row.tobytes()
+
+    def test_a_result_the_gufunc_marks_as_not_converged_is_a_failure(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        window = make_window(WindowKind.HANN, FRAME_LEN)
+        block = lpc_polynomial(lpc(apply_window(rng.uniform(-0.5, 0.5, (6, FRAME_LEN)), window)))
+        want = [polynomial_roots(poly) for poly in block]
+        bad = 4
+        gufunc = _umath_linalg.eigvals
+
+        def leaves_the_bad_row_nan(matrices, signature):
+            found = gufunc(matrices, signature=signature)
+            hit = (matrices[..., 0, :] == -block[bad, 1:]).all(axis=-1)
+            if hit.any():  # NaN eigenvalues and the invalid flag, as LAPACK's failure gives
+                found[hit] = np.subtract(np.inf, np.inf)
+            return found
+
+        monkeypatch.setattr(_umath_linalg, "eigvals", leaves_the_bad_row_nan)
+        companion = np.eye(LPC_ORDER, k=-1)
+        companion[0] = -block[bad, 1:]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigvals(companion)  # numpy reads the result the same way
+        with pytest.raises(np.linalg.LinAlgError):
+            lpc_module._eigvals(companion)
+        with pytest.raises(NumericalFailure, match="did not converge"):
+            polynomial_roots(block[bad])
+        got = polynomial_roots(block)
+        assert np.isnan(got[bad]).all()
+        for i in np.flatnonzero(np.arange(len(block)) != bad):
+            assert got[i].tobytes() == want[i].tobytes()
 
 
 class TestFixRoots:
@@ -550,7 +625,7 @@ class TestBlocks:
         block = lpc_polynomial(lpc(apply_window(rng.uniform(-0.5, 0.5, (6, FRAME_LEN)), window)))
         want = [polynomial_roots(poly) for poly in block]
         bad = 2
-        eigvals, calls = np.linalg.eigvals, []
+        eigvals, calls = lpc_module._eigvals, []
 
         def fails_on_the_bad_row(matrices):
             calls.append(matrices.ndim)
@@ -558,7 +633,7 @@ class TestBlocks:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return eigvals(matrices)
 
-        monkeypatch.setattr(np.linalg, "eigvals", fails_on_the_bad_row)
+        monkeypatch.setattr(lpc_module, "_eigvals", fails_on_the_bad_row)
         got = polynomial_roots(block)
         assert calls == [3] + [2] * len(block)  # the stacked call, then one per row
         assert np.isnan(got[bad]).all()

@@ -14,6 +14,7 @@ from nlconfirm.featset import FeatureKind, FeatureSetConfig
 from nlconfirm.learn import (
     ModelBundle,
     SvmHyperParams,
+    decision_value,
     fit_normalizer,
     fit_pca,
     load_model,
@@ -91,6 +92,25 @@ def test_decide_many_is_decide_row_by_row(kind, size, scale, seed, data):
         == batch.tobytes()
     stop = data.draw(st.integers(1, n))
     assert bundle.decide_many(rows[stop - 1:stop]).tobytes() == batch[stop - 1:stop].tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_SCORED_BUNDLES, key=lambda k: k.value))
+def test_decide_scores_one_vector_of_the_raw_dimension(kind):
+    bundle = _SCORED_BUNDLES[kind]
+    d = bundle.feature_config.raw_dimension
+    row = np.random.default_rng(3).standard_normal(d)
+    for matrix in (row[None], np.stack([row, row]), np.float64(row[0])):
+        with pytest.raises(DimensionMismatch, match="single vector"):
+            bundle.decide(matrix)
+    for width in (d - 1, d + 1):
+        with pytest.raises(DimensionMismatch, match="raw dim"):
+            bundle.decide(np.resize(row, width))
+    # the bits of decision_value on the normalizer's (and PCA's) transform
+    z = bundle.normalizer.transform(row)
+    if bundle.pca is not None:
+        z = bundle.pca.transform(z)
+    assert bundle.decide(row).hex() == decision_value(bundle.svm, z).hex()
+    assert bundle.decide(row.tolist()).hex() == bundle.decide(row).hex()
 
 
 def test_roundtrip_fields(tmp_path):

@@ -16,6 +16,7 @@ from nlconfirm.pipeline import (
     decision_from_scores,
     trigger_time_ms,
 )
+from nlconfirm.stats import Stats
 
 from .conftest import make_segment, resonator_signal, sine
 from .test_model_io import make_bundle
@@ -100,15 +101,30 @@ def _random_segment(rng, voiced=False):
     return make_segment(samples, label=Label.OTHER)
 
 
+def _quiet_segment(rng):
+    """A voiced burst between silent stretches and low-level noise.
+
+    Its silent frames give formant sets the zero pair of a degenerate frame,
+    and its noise frames pairs with an absent formant.
+    """
+    voiced = resonator_signal(rng.uniform(320, 420), rng.uniform(1200, 1600),
+                              duration_s=0.3, f0=rng.uniform(110, 220)) * 0.4
+    noise = rng.uniform(-1e-4, 1e-4, 4000)
+    samples = np.concatenate([np.zeros(3200), noise[:2400], voiced, np.zeros(2400), noise[2400:]])
+    return make_segment(samples, label=Label.OTHER)
+
+
 class TestModeParity:
     @pytest.mark.parametrize("kind", list(FeatureKind))
     def test_offline_equals_online(self, kind):
         bundle = make_bundle(kind, seed=5)
         rng = np.random.default_rng(hash(kind.value) % 1000)
         segments = [_random_segment(rng, voiced=(i % 2 == 0)) for i in range(4)]
+        segments.append(_quiet_segment(rng))
         offline = classify_offline(segments, bundle)
         for segment, reference in zip(segments, offline):
-            online = OnlineClassifier(bundle)
+            stats = Stats()
+            online = OnlineClassifier(bundle, stats=stats)
             events = []
             for frame in frame_stream(segment):
                 event = online.push_frame(frame)
@@ -120,9 +136,14 @@ class TestModeParity:
             streamed = online.decision()
             assert streamed.decided_label == reference.decided_label
             assert streamed.trigger_frame == reference.trigger_frame
-            assert np.array_equal(streamed.frame_scores, reference.frame_scores)
+            # bytes, not values: array_equal takes -0.0 for 0.0
+            assert streamed.frame_scores.tobytes() == reference.frame_scores.tobytes()
             assert np.array_equal(streamed.frame_indices, reference.frame_indices)
             assert len(events) == (1 if reference.trigger_frame is not None else 0)
+        if bundle.feature_config.kind in (FeatureKind.FORMANT_SD, FeatureKind.STACKED_FORMANTS):
+            # the quiet segment, streamed last, went through the zero pair
+            assert stats.counters["formant_silent"] > 0
+            assert stats.counters["formant_no_candidate"] > 0
 
 
 class TestWarmupAndReset:
