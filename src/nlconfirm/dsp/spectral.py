@@ -5,6 +5,19 @@ Blackman-Harris-windowed frame -> power spectrum (FFT zero-padded to the
 next power of two) -> 40 triangular mel filters between 20 and 7800 Hz ->
 floored log energies -> orthonormal DCT-II -> first 13 coefficients (the
 0th is kept).
+
+The FFT of `power_spectrum`, for one frame and for a block alike, goes
+through one seam, `_rfft`, which calls numpy's pocketfft gufunc
+(`numpy.fft._pocketfft_umath.rfft_n_even`, or `rfft_n_odd` for a
+one-point transform) with the scale factor 1 and a preallocated
+complex128 output of n_fft // 2 + 1 bins: the call `np.fft.rfft(x, n_fft)`
+itself makes, so the spectra keep their bits. The gufunc zero-pads the
+input to n_fft. The wrapper around that call (argument and norm checks,
+axis normalization, output allocation) costs about as much as a 512-point
+transform, once per streamed frame, and `power_spectrum` has already
+fixed everything it checks. Tests pin the seam's bits to `np.fft.rfft`
+for 1-D frames and (k, n) blocks. The 1-D `mfcc` also floors and logs
+its mel energies in place, with the same ufuncs as the block path.
 """
 
 from __future__ import annotations
@@ -12,6 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
 from ..corpus import SAMPLE_RATE
 
@@ -23,10 +37,17 @@ LOG_FLOOR = 1e-10
 
 
 def next_pow2(n: int) -> int:
-    size = 1
-    while size < n:
-        size *= 2
-    return size
+    return 1 << (n - 1).bit_length() if n > 1 else 1
+
+
+def _rfft(x: np.ndarray, n_fft: int) -> np.ndarray:
+    """`np.fft.rfft(x, n_fft)` along the last axis of float64 `x`, through the gufunc it calls.
+
+    `x.shape[-1]` must be at least 1 and at most n_fft.
+    """
+    transform = _pocketfft_umath.rfft_n_even if n_fft % 2 == 0 else _pocketfft_umath.rfft_n_odd
+    out = np.empty(x.shape[:-1] + (n_fft // 2 + 1,), dtype=np.complex128)
+    return transform(x, 1, out=out)
 
 
 def power_spectrum(windowed: np.ndarray) -> np.ndarray:
@@ -38,9 +59,11 @@ def power_spectrum(windowed: np.ndarray) -> np.ndarray:
     x = np.asarray(windowed, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ValueError("empty input")
-    n_fft = next_pow2(x.shape[-1])
-    spec = np.fft.rfft(x, n_fft)
-    return (spec.real * spec.real + spec.imag * spec.imag)
+    spec = _rfft(x, next_pow2(x.shape[-1]))
+    power, imag = spec.real * spec.real, spec.imag
+    np.multiply(imag, imag, out=imag)  # in the transform's own buffer
+    power += imag
+    return power
 
 
 def hz_to_mel(f):
@@ -111,6 +134,15 @@ def mfcc_from_log_energies(log_energies: np.ndarray) -> np.ndarray:
 def mfcc(windowed: np.ndarray) -> np.ndarray:
     """First 13 MFCCs of a Blackman-Harris-windowed frame, or of each row of an (n, 400) block.
 
-    A block gives bitwise the rows of calling mfcc frame by frame.
+    A block gives bitwise the rows of calling mfcc frame by frame. One
+    frame takes the same products and ufuncs as a block row, with the mel
+    energies floored and logged in place.
     """
-    return mfcc_from_log_energies(mel_log_energies(power_spectrum(windowed)))
+    x = np.asarray(windowed, dtype=np.float64)
+    if x.ndim != 1:
+        return mfcc_from_log_energies(mel_log_energies(power_spectrum(x)))
+    power = power_spectrum(x)
+    energies = power @ mel_filterbank(2 * (power.size - 1)).T
+    np.maximum(energies, LOG_FLOOR, out=energies)
+    np.log(energies, out=energies)
+    return energies @ _dct2_ortho_matrix(N_MFCC, N_MEL_BANDS).T

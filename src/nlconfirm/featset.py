@@ -67,6 +67,9 @@ from .stats import Stats
 STACK_DEPTH = 15          # frames per stack / SD window
 DELTA_CONTEXT = 7         # Savitzky-Golay filter length
 DELTA_LAG = DELTA_CONTEXT // 2
+# the divisors of a one-push derivative row's two halves (the set lifts MFCCs)
+_DELTA_H = np.repeat([FIRST_DERIVATIVE.h, SECOND_DERIVATIVE.h], N_MFCC)
+_DELTA_H.flags.writeable = False
 
 
 class FeatureKind(enum.Enum):
@@ -207,7 +210,20 @@ def _windows(series: np.ndarray, offset: int, first: int, stop: int,
 
 
 def _delta_rows(series: np.ndarray, offset: int, first: int, stop: int, n: int) -> np.ndarray:
-    """Base vector plus first and second Savitzky-Golay derivatives for t = first .. stop - 1."""
+    """Base vector plus first and second Savitzky-Golay derivatives for t = first .. stop - 1.
+
+    A push's single unclamped window is built as one row: each derivative
+    is the product of the coefficients with that (7, d) slice, the product
+    a batched matmul makes for each window, and both are divided by their
+    h in one call, so the row has the bits of the block path.
+    """
+    if stop - first == 1 and first >= DELTA_LAG and first + DELTA_LAG < n:
+        window = series[first - DELTA_LAG - offset: first + DELTA_LAG + 1 - offset]
+        row = np.concatenate((window[DELTA_LAG], FIRST_DERIVATIVE.coefficients @ window,
+                              SECOND_DERIVATIVE.coefficients @ window))
+        derivatives = row[window.shape[1]:]
+        derivatives /= _DELTA_H
+        return row[None]
     windows = _windows(series, offset, first, stop, DELTA_LAG, DELTA_LAG, n)
     return np.concatenate([
         windows[:, DELTA_LAG],

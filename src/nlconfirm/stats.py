@@ -3,8 +3,9 @@
 A command makes one Stats and passes it explicitly to what it measures;
 there is no global registry. `RunContext.finish` writes both tables into
 `run_metadata.json`. Stages used: synthesize, load, extract, search, fit,
-classify. Counters used: segments, samples and filter_calls (`lfilter`
-calls) of synth-corpus, frames (pushed through feature extraction), vectors
+classify. Counters used: segments, samples and filter_calls (calls of
+scipy's linear filter, one per run of equal resonator coefficients) of
+synth-corpus, frames (pushed through feature extraction), vectors
 (feature vectors produced) and, for the formant feature sets, the frames
 whose formant pair is zero-filled, by cause: formant_silent (frame energy
 zero or subnormal), formant_root_failures (LPC roots miss the residual bound) and

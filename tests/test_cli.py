@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.signal import lfilter
 
 import nlconfirm
 from nlconfirm import cli, synth
@@ -155,9 +154,10 @@ def test_run_metadata_records_stages_and_counters(corpus_dir, model_dir, tmp_pat
         assert sum(meta["stages"].values()) <= meta["duration_s"] + 1e-3
         assert meta["counters"]["frames"] == expected_frames, command
         assert 0 < meta["counters"]["vectors"] <= meta["counters"]["frames"]
-    # synth-corpus counts its rows, the samples of its WAVs and its lfilter calls
+    # synth-corpus counts its rows, the samples of its WAVs and its filter calls
     calls = []
-    monkeypatch.setattr(synth, "lfilter", lambda *a, **k: calls.append(1) or lfilter(*a, **k))
+    filter_run = synth._filter_run
+    monkeypatch.setattr(synth, "_filter_run", lambda *a: calls.append(1) or filter_run(*a))
     out = tmp_path / "synth-corpus"
     assert run("synth-corpus", "--out", out, "--speakers", 3, "--segments-per-speaker", 6,
                "--confirmation-rate", 0.34, "--seed", 5) == 0

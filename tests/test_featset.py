@@ -29,6 +29,7 @@ from nlconfirm import featset
 from nlconfirm.errors import NumericalFailure, SegmentTooShort
 from nlconfirm.featset import (
     DELTA_CONTEXT,
+    DELTA_LAG,
     STACK_DEPTH,
     FeatureKind,
     FeatureSetConfig,
@@ -335,6 +336,37 @@ class TestRingOracle:
         _, streamed = stream(extractor, frames)
         for row, reference in zip(streamed, expected, strict=True):
             assert np.array_equal(row, reference)
+
+
+class TestDeltaRows:
+    """A push's one derivative row, built from a plain slice of the history, against the block path."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(DELTA_CONTEXT, 40), seed=st.integers(0, 2**32 - 1),
+           exponent=st.floats(-320.0, 150.0))
+    def test_one_window_equals_its_block_row_at_every_position(self, n, seed, exponent):
+        series = np.random.default_rng(seed).normal(size=(n, 13)) * 10.0 ** exponent
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = featset._delta_rows(series, 0, 0, n, n)
+            # every t: both clamped edges (t < 3, t > n - 4) and the unclamped middle
+            for t in range(n):
+                row = featset._delta_rows(series, 0, t, t + 1, n)
+                assert row.shape == (1, 39)
+                assert row.tobytes() == block[t: t + 1].tobytes()
+            # a push reads a slice of the history: series row j is frame offset + j
+            for kept in range(DELTA_CONTEXT, n + 1):
+                offset = n - kept
+                t = n - 1 - DELTA_LAG
+                row = featset._delta_rows(series[offset:], offset, t, t + 1, n)
+                assert row.tobytes() == block[t: t + 1].tobytes()
+
+    def test_rows_are_the_savitzky_golay_reference(self):
+        series = RNG.normal(size=(12, 13))
+        for t in range(12):
+            row = featset._delta_rows(series, 0, t, t + 1, 12)[0]
+            assert np.array_equal(row[:13], series[t])
+            assert np.array_equal(row[13:26], sg_filtered(series, FIRST_DERIVATIVE)[t])
+            assert np.array_equal(row[26:], sg_filtered(series, SECOND_DERIVATIVE)[t])
 
 
 class TestBoundedState:

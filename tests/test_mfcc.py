@@ -141,6 +141,29 @@ class TestBlocks:
         for row, frame in zip(rows, block):
             assert np.array_equal(row, mfcc(frame))
 
+    @pytest.mark.parametrize("scale", [0.0, 5e-324, 1e-160, 1e-5, 1.0, 1e100, 1e160])
+    def test_one_frame_equals_its_block_row(self, scale):
+        # silent, subnormal-amplitude, floored, ordinary, large and
+        # overflowing frames: the 1-D path floors and logs in place
+        window = make_window(WindowKind.BLACKMAN_HARRIS4, 400)
+        for seed in range(4):
+            frame = apply_window(np.random.default_rng(seed).uniform(-1, 1, 400), window) * scale
+            with np.errstate(over="ignore", invalid="ignore"):  # 1e160 overflows the power
+                assert mfcc(frame).tobytes() == mfcc(frame[None])[0].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-330.0, 160.0))
+    def test_random_frames_equal_their_block_rows(self, seed, exponent):
+        window = make_window(WindowKind.BLACKMAN_HARRIS4, 400)
+        frame = apply_window(np.random.default_rng(seed).normal(size=400), window) * 10.0 ** exponent
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert mfcc(frame).tobytes() == mfcc(frame[None])[0].tobytes()
+
+    @pytest.mark.parametrize("empty", [np.array([]), np.empty((2, 0))])
+    def test_empty_frames_rejected(self, empty):
+        with pytest.raises(ValueError):
+            mfcc(empty)
+
     def test_block_uses_the_frame_length_fft(self):
         # the FFT size follows the last axis, not the block's total size
         block = np.ones((3, 400))

@@ -14,6 +14,7 @@ from nlconfirm.synth import (
     CONTROL_BLOCK,
     POLE_RADIUS,
     SynthConfig,
+    _filter_run,
     _resonate,
     _shape_token,
     generate_corpus,
@@ -127,14 +128,31 @@ class TestResonateOracle:
     def test_a_constant_curve_takes_one_filter_call(self, monkeypatch):
         calls = []
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(args[2].size)
-            return lfilter(*args, **kwargs)
+            return _filter_run(*args)
 
-        monkeypatch.setattr("nlconfirm.synth.lfilter", counted)
+        monkeypatch.setattr("nlconfirm.synth._filter_run", counted)
         x = np.random.default_rng(0).normal(size=1000)
         _resonate(x, np.full(1000, 350.0), np.full(1000, 1400.0))
         assert calls == [1000, 1000]
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1),
+           hz=st.floats(20.0, 7990.0), state=st.sampled_from(["zero", "random", "large"]))
+    def test_filter_run_keeps_the_bits_of_lfilter(self, n, seed, hz, state):
+        # the resonators' arguments: b = [1], a 3-term stable denominator, a
+        # 1-D run and the two-sample state the previous run left
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n)
+        a = np.array([1.0, -2.0 * POLE_RADIUS * np.cos(2.0 * np.pi * hz / SAMPLE_RATE),
+                      POLE_RADIUS * POLE_RADIUS])
+        zi = {"zero": np.zeros(2), "random": rng.normal(size=2),
+              "large": rng.normal(size=2) * 1e300}[state]
+        out, zf = _filter_run(np.ones(1), a, x, zi.copy())
+        expected_out, expected_zf = lfilter(np.ones(1), a, x, zi=zi.copy())
+        assert out.tobytes() == expected_out.tobytes()
+        assert zf.tobytes() == expected_zf.tobytes()
 
 
 def shape_token_with_envelope(token, peak, noise_db, rng):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlconfirm.dsp import WindowKind, apply_window, make_window, power_spectrum
+from nlconfirm.dsp.spectral import _rfft, next_pow2
 from nlconfirm.errors import LengthMismatch
 
 
@@ -98,3 +101,34 @@ class TestPowerSpectrum:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             power_spectrum(np.array([]))
+
+    @pytest.mark.parametrize("empty", [np.empty((3, 0)), np.float64(1.0)])
+    def test_empty_rows_and_scalars_rejected(self, empty):
+        with pytest.raises(ValueError):
+            power_spectrum(empty)
+
+
+class TestRfftSeam:
+    """`_rfft` is the one FFT call of `power_spectrum`: the bits of `np.fft.rfft`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(length=st.integers(1, 600), rows=st.one_of(st.none(), st.integers(1, 5)),
+           pad=st.one_of(st.none(), st.integers(0, 40)), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.0, 1e-310, 1e-3, 1.0, 1e150]))
+    def test_bits_of_numpy_rfft(self, length, rows, pad, seed, scale):
+        # n_fft: the power of two power_spectrum takes, or any length at
+        # least the frame's, odd ones included
+        n_fft = next_pow2(length) if pad is None else length + pad
+        shape = (length,) if rows is None else (rows, length)
+        x = np.random.default_rng(seed).standard_normal(shape) * scale
+        spec = _rfft(x, n_fft)
+        expected = np.fft.rfft(x, n_fft)
+        assert spec.dtype == np.complex128 and spec.shape == expected.shape
+        assert spec.tobytes() == expected.tobytes()
+
+    def test_power_spectrum_keeps_the_bits_of_numpy_rfft(self):
+        rng = np.random.default_rng(5)
+        for x in (rng.standard_normal(400), rng.standard_normal((4, 400)), rng.standard_normal(1)):
+            spec = np.fft.rfft(x, next_pow2(x.shape[-1]))
+            expected = spec.real * spec.real + spec.imag * spec.imag
+            assert power_spectrum(x).tobytes() == expected.tobytes()
