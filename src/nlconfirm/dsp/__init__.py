@@ -15,12 +15,10 @@ Windowing happens in the feature layer, so everything here expects
 already-windowed frames where it matters.
 """
 
-from .windows import WindowKind, WindowFunction, make_window, apply_window
+from .windows import WindowKind, make_window, apply_window
 from .spectral import (
     power_spectrum,
     mel_filterbank,
-    mel_log_energies,
-    mfcc_from_log_energies,
     mfcc,
     N_MFCC,
     N_MEL_BANDS,
@@ -46,9 +44,8 @@ from .lpc import (
 from .pitch import pitch_yin_fft
 
 __all__ = [
-    "WindowKind", "WindowFunction", "make_window", "apply_window",
-    "power_spectrum", "mel_filterbank", "mel_log_energies",
-    "mfcc_from_log_energies", "mfcc",
+    "WindowKind", "make_window", "apply_window",
+    "power_spectrum", "mel_filterbank", "mfcc",
     "N_MFCC", "N_MEL_BANDS", "MEL_FMIN", "MEL_FMAX", "LOG_FLOOR",
     "SavitzkyGolayFilter", "FIRST_DERIVATIVE", "SECOND_DERIVATIVE", "sg_at",
     "LpcResult", "LPC_ORDER", "lpc", "lpc_polynomial",

@@ -60,13 +60,12 @@ _TINY = float(np.finfo(np.float64).tiny)  # smallest normal float
 class LpcResult:
     """Predictor coefficients c_k with x[n] ~ sum_k c_k x[n-k], plus residual energy."""
 
-    order: int
     coefficients: np.ndarray
     gain: float
 
 
-def lpc(windowed: np.ndarray, order: int = LPC_ORDER) -> LpcResult:
-    """Autocorrelation-method LPC via the Levinson-Durbin recursion.
+def lpc(windowed: np.ndarray) -> LpcResult:
+    """Autocorrelation-method LPC of order LPC_ORDER via the Levinson-Durbin recursion.
 
     The order + 1 autocorrelation lags are one product of the frame with a
     strided (n, order + 1) view of its zero-padded copy; the recursion then
@@ -85,6 +84,7 @@ def lpc(windowed: np.ndarray, order: int = LPC_ORDER) -> LpcResult:
     1-D call would reject as degenerate, or whose recursion stops early,
     are NaN.
     """
+    order = LPC_ORDER
     x = np.asarray(windowed, dtype=np.float64)
     n = x.shape[-1] if x.ndim == 2 else x.size
     if n <= order:
@@ -111,7 +111,7 @@ def lpc(windowed: np.ndarray, order: int = LPC_ORDER) -> LpcResult:
                 err *= 1.0 - lam * lam
         a[:, stopped] = np.nan
         err[stopped] = np.nan
-        return LpcResult(order=order, coefficients=-a[1:].T, gain=np.maximum(err, 0.0))
+        return LpcResult(coefficients=-a[1:].T, gain=np.maximum(err, 0.0))
     padded = np.zeros(n + order)
     padded[:n] = x
     step = padded.itemsize
@@ -133,7 +133,7 @@ def lpc(windowed: np.ndarray, order: int = LPC_ORDER) -> LpcResult:
         for j in range(1, k + 1):
             a[j] = prev[j] + lam * prev[k - j]
         err *= 1.0 - lam * lam
-    return LpcResult(order=order, coefficients=-np.array(a[1:]), gain=max(err, 0.0))
+    return LpcResult(coefficients=-np.array(a[1:]), gain=max(err, 0.0))
 
 
 def lpc_polynomial(result: LpcResult) -> np.ndarray:
@@ -148,14 +148,14 @@ def lpc_polynomial(result: LpcResult) -> np.ndarray:
     return polynomial
 
 
-def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDUAL_TOL) -> np.ndarray:
+def polynomial_roots(coefficients: np.ndarray) -> np.ndarray:
     """All complex roots of a real polynomial (coefficients highest power first).
 
     Solved as eigenvalues of the real companion matrix, so a real root
     comes back with an imaginary part of exactly 0; the result is always
     complex128. Every root r is checked against
-    |p(r)| <= tol * sum_i |c_i| |r|^(deg-i); NumericalFailure names the
-    first root that misses that residual bound. It is also raised for a
+    |p(r)| <= ROOT_RESIDUAL_TOL * sum_i |c_i| |r|^(deg-i); NumericalFailure
+    names the first root that misses that residual bound. It is also raised for a
     NaN or infinite coefficient (before any root is solved), when the
     companion row -c[1:] / c[0] overflows (a leading coefficient so small,
     subnormal say, that the row is not finite) and when the eigenvalues do
@@ -202,13 +202,13 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
         for i in range(m):
             value *= point
             value += steps[:, :, i:i + 1]
-        found[(np.abs(value[:, 0]) > residual_tol * value[:, 1].real).any(axis=1)] = np.nan
+        found[(np.abs(value[:, 0]) > ROOT_RESIDUAL_TOL * value[:, 1].real).any(axis=1)] = np.nan
         roots[solvable] = found
         return roots
     if c.ndim == 0:
         c = c.reshape(1)
     if c.size >= 2 and 0.0 < abs(c[0]) < np.inf and c[-1] != 0.0:  # nothing to deflate
-        return _checked_roots(c, 0, residual_tol)  # which rejects a NaN or inf after c[0]
+        return _checked_roots(c, 0)  # which rejects a NaN or inf after c[0]
     if not np.isfinite(c).all():  # the scans below would take a NaN for a nonzero
         raise NumericalFailure(f"coefficients {c.tolist()} give no finite companion row")
     nonzero = np.flatnonzero(np.abs(c) > 0.0)
@@ -222,7 +222,7 @@ def polynomial_roots(coefficients: np.ndarray, residual_tol: float = ROOT_RESIDU
     while c[-1] == 0.0:
         c = c[:-1]
         tail += 1
-    return _checked_roots(c, tail, residual_tol)
+    return _checked_roots(c, tail)
 
 
 def _eigvals(companions: np.ndarray) -> np.ndarray:
@@ -249,7 +249,7 @@ def _subdiagonal(n: int) -> np.ndarray:
     return template
 
 
-def _checked_roots(c: np.ndarray, tail: int, residual_tol: float) -> np.ndarray:
+def _checked_roots(c: np.ndarray, tail: int) -> np.ndarray:
     """Roots of c (nonzero first and last coefficient) and `tail` roots at the origin.
 
     Each root is checked against the full polynomial, c followed by `tail`
@@ -283,11 +283,12 @@ def _checked_roots(c: np.ndarray, tail: int, residual_tol: float) -> np.ndarray:
         value += step
     residual = np.abs(value[0])
     scale = value[1].real
-    failed = residual > residual_tol * scale
+    failed = residual > ROOT_RESIDUAL_TOL * scale
     if failed.any():
         i = failed.argmax()
         raise NumericalFailure(
-            f"root {roots[i]} residual {residual[i]:.3e} exceeds {residual_tol:.0e} * scale {scale[i]:.3e}"
+            f"root {roots[i]} residual {residual[i]:.3e} exceeds {ROOT_RESIDUAL_TOL:.0e} "
+            f"* scale {scale[i]:.3e}"
         )
     return roots
 

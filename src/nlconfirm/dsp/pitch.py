@@ -36,7 +36,7 @@ def _autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _window_acf(length: int, max_lag: int) -> np.ndarray:
-    acf = _autocorrelation(make_window(WindowKind.HANN, length).coefficients, max_lag)
+    acf = _autocorrelation(make_window(WindowKind.HANN, length), max_lag)
     acf.flags.writeable = False
     return acf
 

@@ -105,30 +105,13 @@ def _dct2_ortho_matrix(n_out: int, n_in: int) -> np.ndarray:
 
 
 def _rows_times(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """x @ matrix with each row of x taken as its own (1, k) matrix product.
+    """x @ matrix with each row of a block x taken as its own (1, k) matrix product.
 
     A batched matmul keeps every row on the single-vector BLAS path, so a
     block gives the bits of one row at a time; a plain 2-D product runs
     as one gemm and can differ in the last bits.
     """
-    if x.ndim == 1:
-        return x @ matrix
     return np.matmul(x[..., None, :], matrix)[..., 0, :]
-
-
-def mel_log_energies(power: np.ndarray) -> np.ndarray:
-    """Floored log of the 40 mel-band energies of a power spectrum (or of each row)."""
-    power = np.asarray(power, dtype=np.float64)
-    n_fft = 2 * (power.shape[-1] - 1)
-    bank = mel_filterbank(n_fft)
-    return np.log(np.maximum(_rows_times(power, bank.T), LOG_FLOOR))
-
-
-def mfcc_from_log_energies(log_energies: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-II of log mel energies (or of each row), truncated to N_MFCC."""
-    log_energies = np.asarray(log_energies, dtype=np.float64)
-    mat = _dct2_ortho_matrix(N_MFCC, log_energies.shape[-1])
-    return _rows_times(log_energies, mat.T)
 
 
 def mfcc(windowed: np.ndarray) -> np.ndarray:
@@ -139,10 +122,12 @@ def mfcc(windowed: np.ndarray) -> np.ndarray:
     energies floored and logged in place.
     """
     x = np.asarray(windowed, dtype=np.float64)
-    if x.ndim != 1:
-        return mfcc_from_log_energies(mel_log_energies(power_spectrum(x)))
     power = power_spectrum(x)
-    energies = power @ mel_filterbank(2 * (power.size - 1)).T
+    bank = mel_filterbank(2 * (power.shape[-1] - 1))
+    if x.ndim != 1:
+        log_energies = np.log(np.maximum(_rows_times(power, bank.T), LOG_FLOOR))
+        return _rows_times(log_energies, _dct2_ortho_matrix(N_MFCC, N_MEL_BANDS).T)
+    energies = power @ bank.T
     np.maximum(energies, LOG_FLOOR, out=energies)
     np.log(energies, out=energies)
     return energies @ _dct2_ortho_matrix(N_MFCC, N_MEL_BANDS).T

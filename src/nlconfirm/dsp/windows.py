@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -17,13 +16,6 @@ _BH4 = (0.35875, 0.48829, 0.14128, 0.01168)
 class WindowKind(enum.Enum):
     HANN = "hann"
     BLACKMAN_HARRIS4 = "blackman_harris4"
-
-
-@dataclass(frozen=True)
-class WindowFunction:
-    kind: WindowKind
-    length: int
-    coefficients: np.ndarray
 
 
 def _cosine_sum(length: int, terms: tuple[float, ...]) -> np.ndarray:
@@ -41,8 +33,8 @@ def _cosine_sum(length: int, terms: tuple[float, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def make_window(kind: WindowKind, length: int) -> WindowFunction:
-    """Precompute (and cache) a symmetric window of the given length."""
+def make_window(kind: WindowKind, length: int) -> np.ndarray:
+    """Precompute (and cache) a symmetric window of the given length, read-only."""
     if length < 1:
         raise ValueError(f"window length must be >= 1, got {length}")
     if kind is WindowKind.HANN:
@@ -52,13 +44,13 @@ def make_window(kind: WindowKind, length: int) -> WindowFunction:
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown window kind {kind}")
     coeffs.flags.writeable = False
-    return WindowFunction(kind=kind, length=length, coefficients=coeffs)
+    return coeffs
 
 
-def apply_window(frame: np.ndarray, window: WindowFunction) -> np.ndarray:
+def apply_window(frame: np.ndarray, window: np.ndarray) -> np.ndarray:
     """Pointwise product of a frame, or of each row of an (n, length) block, with the window."""
     frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim == 0 or frame.shape[-1] != window.length:
+    if frame.ndim == 0 or frame.shape[-1] != window.size:
         raise LengthMismatch(f"frame shape {frame.shape} does not end in window length "
-                             f"{window.length}")
-    return frame * window.coefficients
+                             f"{window.size}")
+    return frame * window

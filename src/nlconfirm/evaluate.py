@@ -143,7 +143,8 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
     """ROC curve and trapezoid AUC from decision values and +1/-1 labels.
 
     Thresholds sweep the unique score values from high to low; tied scores
-    flip together.
+    flip together. Each tie group ends where the next sorted score differs;
+    the positives counted up to that end give tp, the rest fp.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -155,20 +156,11 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
         raise MissingClass("ROC needs both classes")
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
-    sorted_pos = labels[order] > 0
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < sorted_scores.size:
-        j = i
-        while j + 1 < sorted_scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        group = sorted_pos[i : j + 1]
-        tp += int(group.sum())
-        fp += int((~group).sum())
-        points.append((fp / n_neg, tp / n_pos))
-        i = j + 1
-    pts = np.asarray(points)
+    ends = np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]), scores.size - 1)
+    tp = np.cumsum(labels[order] > 0)[ends]
+    pts = np.zeros((ends.size + 1, 2))
+    pts[1:, 0] = (ends + 1 - tp) / n_neg
+    pts[1:, 1] = tp / n_pos
     x, y = pts[:, 0], pts[:, 1]
     auc = float(np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
     return RocCurve(points=pts, auc=auc)

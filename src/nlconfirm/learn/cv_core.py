@@ -1,7 +1,7 @@
 """The fit path and the leave-one-speaker-out fold engine.
 
 `fit_chain` is the parameter-free part of training: the frames are
-class-balanced, and normalization (and PCA keeping PCA_EPSILON of the
+class-balanced, and normalization (and PCA keeping `pca.PCA_EPSILON` of the
 variance, when the feature set calls for it) is fitted on the balanced
 set. `fit_bundle` is that chain plus `train_svm`, the one way a model is
 trained for `train` and `evaluate`. Callers hand in per-speaker
@@ -36,8 +36,6 @@ from .normalize import NormalizerStats, fit_normalizer
 from .pca import PcaTransform, fit_pca
 from .svm import (SvmHyperParams, SvmModel, rbf_kernel, smo_path, squared_distances,
                   support_model, train_svm)
-
-PCA_EPSILON = 0.95  # retained-variance ratio of every PCA feature set
 
 
 @dataclass(frozen=True)
@@ -112,7 +110,7 @@ def fit_chain(
     projected = normalizer.transform(bal_x)
     pca = None
     if config.uses_pca:
-        pca = fit_pca(projected, PCA_EPSILON)
+        pca = fit_pca(projected)
         projected = pca.transform(projected)
     return FitChain(normalizer=normalizer, pca=pca, vectors=projected, labels=y[keep])
 

@@ -61,7 +61,7 @@ class ModelBundle:
         Raises DimensionMismatch for anything but one vector of raw_dimension
         values. The vector is checked once, normalized and PCA-projected
         with the arithmetic of `NormalizerStats.transform` and
-        `PcaTransform.transform`, and scored as `decision_value` scores.
+        `PcaTransform.transform`, and scored by `svm._decision`.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1:

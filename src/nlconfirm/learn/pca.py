@@ -8,6 +8,8 @@ import numpy as np
 
 from ..errors import DegenerateCovariance, DimensionMismatch
 
+PCA_EPSILON = 0.95  # retained-variance ratio of every PCA feature set
+
 
 @dataclass(frozen=True)
 class PcaTransform:
@@ -38,15 +40,13 @@ class PcaTransform:
         return (x - self.mean) @ self.basis.T
 
 
-def fit_pca(vectors: np.ndarray, epsilon: float = 0.95) -> PcaTransform:
+def fit_pca(vectors: np.ndarray) -> PcaTransform:
     """Eigendecomposition of the sample covariance with retained-variance cut.
 
-    epsilon in (0, 1]; k = smallest component count with cumulative
-    variance ratio >= epsilon. Raises DegenerateCovariance when the data
-    carries no variance at all.
+    k = smallest component count with cumulative variance ratio >=
+    PCA_EPSILON. Raises DegenerateCovariance when the data carries no
+    variance at all.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise DegenerateCovariance(f"need a matrix with >= 2 rows, got shape {x.shape}")
@@ -61,10 +61,10 @@ def fit_pca(vectors: np.ndarray, epsilon: float = 0.95) -> PcaTransform:
     if total <= 0.0:
         raise DegenerateCovariance("all dimensions have zero variance")
     ratios = np.cumsum(eigenvalues) / total
-    k = int(np.searchsorted(ratios, epsilon - 1e-12)) + 1
+    k = int(np.searchsorted(ratios, PCA_EPSILON - 1e-12)) + 1
     k = min(k, eigenvalues.size)
     return PcaTransform(
-        epsilon=epsilon,
+        epsilon=PCA_EPSILON,
         mean=mean,
         basis=eigenvectors[:, :k].T.copy(),
         eigenvalues=eigenvalues[:k].copy(),

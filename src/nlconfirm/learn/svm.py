@@ -104,15 +104,14 @@ def smo_path(
     labels: np.ndarray,
     C: float,
     tolerances: list[float],
-    max_iterations: int = MAX_ITERATIONS,
 ) -> list[tuple[np.ndarray, float, int]]:
     """Run SMO once on a precomputed kernel matrix for one or more stopping tolerances.
 
     Returns one (alpha, bias, iterations) per tolerance, in the given
     order: the solution at the first iteration whose maximal KKT violation
     is within that tolerance, which is what a run stopping there returns.
-    Raises ConvergenceFailure when the iteration cap is hit before the
-    smallest tolerance is reached, and ValueError when no tolerance is
+    Raises ConvergenceFailure when MAX_ITERATIONS iterations pass before
+    the smallest tolerance is reached, and ValueError when no tolerance is
     given.
 
     The kernel must be a bitwise symmetric float64 matrix, as
@@ -139,7 +138,7 @@ def smo_path(
     pending = sorted(range(len(tolerances)), key=tolerances.__getitem__)  # largest last
     snapshots: list = [None] * len(tolerances)
 
-    for iteration in range(max_iterations):
+    for iteration in range(MAX_ITERATIONS):
         i = int(up_score.argmax())
         j = int(low_score.argmin())
         # an exactly zero score takes the sign of -y * (+0.0), as -y * grad gives it
@@ -184,7 +183,7 @@ def smo_path(
         low_score -= change
 
     raise ConvergenceFailure(
-        f"SMO did not reach tolerance {tolerances[pending[0]]} within {max_iterations} iterations"
+        f"SMO did not reach tolerance {tolerances[pending[0]]} within {MAX_ITERATIONS} iterations"
     )
 
 
@@ -193,14 +192,14 @@ def smo_solve(
     labels: np.ndarray,
     C: float,
     eps: float,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> tuple[np.ndarray, float, int]:
     """Run SMO on a precomputed kernel matrix.
 
-    Returns (alpha, bias, iterations). Raises ConvergenceFailure when the
-    iteration cap is hit before the maximal KKT violation falls to eps.
+    Returns (alpha, bias, iterations). Raises ConvergenceFailure when
+    MAX_ITERATIONS iterations pass before the maximal KKT violation falls
+    to eps.
     """
-    return smo_path(kernel, labels, C, [eps], max_iterations)[0]
+    return smo_path(kernel, labels, C, [eps])[0]
 
 
 def support_model(
@@ -226,7 +225,6 @@ def train_svm(
     vectors: np.ndarray,
     labels: np.ndarray,
     params: SvmHyperParams,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> SvmModel:
     """Train on (n, d) vectors with labels in {+1, -1}.
 
@@ -240,12 +238,12 @@ def train_svm(
     if not (np.any(y > 0) and np.any(y < 0)):
         raise SingleClass("training data must contain both classes")
     kernel = rbf_kernel(x, x, params.gamma)
-    alpha, bias, _ = smo_solve(kernel, y, params.C, params.eps, max_iterations)
+    alpha, bias, _ = smo_solve(kernel, y, params.C, params.eps)
     return support_model(x, y, alpha, bias, params.gamma)
 
 
 def decision_values(model: SvmModel, x: np.ndarray) -> np.ndarray:
-    """Decision function for a batch of row vectors, bitwise equal row by row to `decision_value`.
+    """Decision function for a batch of row vectors, bitwise equal row by row to `_decision`.
 
     Each row takes the single-vector arithmetic: differences to the support
     vectors, squared and summed per support vector, exp, then one dot
@@ -267,20 +265,6 @@ def decision_values(model: SvmModel, x: np.ndarray) -> np.ndarray:
         out[lo:lo + rows] = np.matmul(k[:, None, :], model.alphas_signed)[:, 0]
     out += model.bias
     return out
-
-
-def decision_value(model: SvmModel, x: np.ndarray) -> float:
-    """Decision function for one vector; positive means confirmation.
-
-    Raises DimensionMismatch unless x is one vector of the model's
-    dimension, then scores it with `_decision`.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionMismatch("decision_value expects a single vector")
-    if x.size != model.dimension:
-        raise DimensionMismatch(f"vector dim {x.size} != model dim {model.dimension}")
-    return _decision(model, x)
 
 
 def _decision(model: SvmModel, x: np.ndarray) -> float:

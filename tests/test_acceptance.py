@@ -134,7 +134,7 @@ def test_criterion_pca_contract():
         rows.extend([e, -e])
     x = np.asarray(rows)
     q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
-    pca = fit_pca(x @ q.T, 0.95)
+    pca = fit_pca(x @ q.T)
     assert pca.output_dimension == 2  # 0.9 < 0.95 <= 0.96
     gram = pca.basis @ pca.basis.T
     orth = np.max(np.abs(gram - np.eye(2)))
@@ -142,7 +142,7 @@ def test_criterion_pca_contract():
     # single dominant direction collapses to one component
     t = np.random.default_rng(4).standard_normal(300)
     line = np.stack([t, t], axis=1)
-    assert fit_pca(line, 0.95).output_dimension == 1
+    assert fit_pca(line).output_dimension == 1
     report("pca-contract", f"(k=2 on 0.9/0.06/0.04 masses, orthonormality {orth:.1e})")
 
 

@@ -50,6 +50,32 @@ def pairwise_auc(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
+def loop_roc(scores, labels):
+    """Reference ROC: walk the sorted scores one tie group at a time; (points, auc)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int(np.sum(labels > 0))
+    n_neg = int(np.sum(labels < 0))
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_pos = labels[order] > 0
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    i = 0
+    while i < sorted_scores.size:
+        j = i
+        while j + 1 < sorted_scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        group = sorted_pos[i : j + 1]
+        tp += int(group.sum())
+        fp += int((~group).sum())
+        points.append((fp / n_neg, tp / n_pos))
+        i = j + 1
+    pts = np.asarray(points)
+    x, y = pts[:, 0], pts[:, 1]
+    return pts, float(np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
+
+
 class TestBalance:
     def test_majority_subsampled(self):
         rng = np.random.default_rng(0)
@@ -128,6 +154,22 @@ class TestRoc:
             return
         fast = roc_auc(scores, signs).auc
         assert fast == pytest.approx(pairwise_auc(scores, signs), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(allow_nan=False)),
+        st.sampled_from([1, -1, 0])), min_size=2, max_size=80))
+    def test_bytes_equal_the_tie_group_loop(self, rows):
+        # ties, zero and -0.0 scores, and labels of 0 (counted as neither class)
+        scores = np.array([s for s, _ in rows])
+        labels = np.array([y for _, y in rows])
+        if not ((labels > 0).any() and (labels < 0).any()):
+            return
+        points, auc = loop_roc(scores, labels)
+        curve = roc_auc(scores, labels)
+        assert curve.points.shape == points.shape
+        assert curve.points.tobytes() == points.tobytes()
+        assert np.float64(curve.auc).tobytes() == np.float64(auc).tobytes()
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(3)
@@ -389,9 +431,9 @@ class TestGridOracle:
             distances.append((a.shape[0], b.shape[0], a is b))
             return real_distances(a, b)
 
-        def counting_path(kernel, labels, C, tolerances, *rest):
+        def counting_path(kernel, labels, C, tolerances):
             smo_runs.append((C, tuple(sorted(tolerances))))
-            return real_path(kernel, labels, C, tolerances, *rest)
+            return real_path(kernel, labels, C, tolerances)
 
         monkeypatch.setattr(cv_core, "squared_distances", counting_distances)
         monkeypatch.setattr(svm, "squared_distances", counting_distances)  # under rbf_kernel

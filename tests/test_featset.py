@@ -681,16 +681,18 @@ class TestResidualMissRow:
         frames = voiced_frames(40)
         windowed = [apply_window(f.samples, window) for f in frames]
 
-        def misses(w: np.ndarray, tol: float) -> bool:
+        def misses(w: np.ndarray) -> bool:
             try:
-                polynomial_roots(lpc_polynomial(lpc(w)), residual_tol=tol)
+                polynomial_roots(lpc_polynomial(lpc(w)))
             except NumericalFailure:
                 return True
             return False
 
-        # the loosest tolerance that some frame's roots miss: few rows miss it
+        # the loosest tolerance that some frame's roots miss: few rows miss it;
+        # it stays the residual bound for the extraction below
         for tol in np.geomspace(1e-13, 1e-16, 61):
-            missed = [misses(w, tol) for w in windowed]
+            monkeypatch.setattr(lpc_module, "ROOT_RESIDUAL_TOL", tol)
+            missed = [misses(w) for w in windowed]
             if any(missed):
                 break
         bad = missed.index(True)
@@ -699,8 +701,6 @@ class TestResidualMissRow:
         order = good[:8] + [bad] + good[8:]
         segment = [Frame(frames[i].samples, t, "seg") for t, i in enumerate(order)]
 
-        monkeypatch.setattr(featset, "polynomial_roots",
-                            lambda c: polynomial_roots(c, residual_tol=tol))
         rerun = []
         formant_pair = featset._formant_pair
 

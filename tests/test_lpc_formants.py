@@ -1,6 +1,7 @@
 """LPC analysis, polynomial roots and formant extraction."""
 
 import importlib
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ TINY = float(np.finfo(np.float64).tiny)  # smallest normal float
 
 
 class TestLpc:
-    def test_ar2_recovery(self):
+    def test_ar2_recovery(self, monkeypatch):
+        monkeypatch.setattr(lpc_module, "LPC_ORDER", 2)
         rng = np.random.default_rng(5)
         n = 8000
         x = np.zeros(n)
@@ -42,7 +44,7 @@ class TestLpc:
         for i in range(2, n):
             x[i] = 1.6 * x[i - 1] - 0.9025 * x[i - 2] + e[i]
         windowed = apply_window(x, make_window(WindowKind.HANN, n))
-        result = lpc(windowed, order=2)
+        result = lpc(windowed)
         assert result.coefficients[0] == pytest.approx(1.6, abs=0.05)
         assert result.coefficients[1] == pytest.approx(-0.9025, abs=0.05)
         assert result.gain > 0
@@ -64,7 +66,6 @@ class TestLpc:
     def test_order_and_polynomial_layout(self):
         rng = np.random.default_rng(6)
         result = lpc(rng.standard_normal(400))
-        assert result.order == 12
         assert result.coefficients.shape == (12,)
         poly = lpc_polynomial(result)
         assert poly[0] == 1.0
@@ -110,8 +111,9 @@ class TestPolynomialRoots:
 
     def test_residual_gate(self):
         # z^2 + z + 1: the roots' residual is about 3e-16 against a bound of 1e-300 * 3
-        with pytest.raises(NumericalFailure):
-            polynomial_roots([1.0, 1.0, 1.0], residual_tol=1e-300)
+        with patch.object(lpc_module, "ROOT_RESIDUAL_TOL", 1e-300), \
+                pytest.raises(NumericalFailure):
+            polynomial_roots([1.0, 1.0, 1.0])
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -356,13 +358,14 @@ class TestResidualCheckOracle:
     @given(degree_12_polynomials(), st.sampled_from([1e-300, 1e-15, 1e-14, 1e-13, 1e-6]))
     def test_raises_exactly_when_a_root_misses_the_bound(self, coefficients, tol):
         want_roots, want_failure = _reference_roots(coefficients, tol)
-        if want_failure is None:
-            got = polynomial_roots(coefficients, residual_tol=tol)
-            assert got.tobytes() == want_roots.tobytes()
-        else:
-            with pytest.raises(NumericalFailure) as excinfo:
-                polynomial_roots(coefficients, residual_tol=tol)
-            assert str(excinfo.value) == want_failure
+        with patch.object(lpc_module, "ROOT_RESIDUAL_TOL", tol):
+            if want_failure is None:
+                got = polynomial_roots(coefficients)
+                assert got.tobytes() == want_roots.tobytes()
+            else:
+                with pytest.raises(NumericalFailure) as excinfo:
+                    polynomial_roots(coefficients)
+                assert str(excinfo.value) == want_failure
 
     def test_lpc_frames_match_reference(self):
         window = make_window(WindowKind.HANN, 400)
@@ -376,9 +379,10 @@ class TestResidualCheckOracle:
 
 
 def _roots_or_failure(coefficients, tol):
-    """The roots' bytes, or the type and message of what the call raised."""
+    """The roots' bytes at residual bound `tol`, or the type and message of what the call raised."""
     try:
-        return polynomial_roots(coefficients, residual_tol=tol).tobytes()
+        with patch.object(lpc_module, "ROOT_RESIDUAL_TOL", tol):
+            return polynomial_roots(coefficients).tobytes()
     except Exception as exc:  # NumericalFailure, or a LinAlgError of eigvals
         return f"{type(exc).__name__}: {exc}"
 
@@ -451,7 +455,7 @@ def lpc_frames(draw, n: int | None = None):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     frame = np.sin(omega * t + phase) + noise * rng.standard_normal(n)
     if draw(st.booleans()):
-        frame *= make_window(WindowKind.HANN, n).coefficients
+        frame *= make_window(WindowKind.HANN, n)
     return amplitude * frame
 
 
@@ -490,7 +494,7 @@ class TestLpcOracle:
         # fitting coefficients to rounding; frames of normal energy still fit.
         frame = 10.0 ** log_amplitude * np.sin(omega * np.arange(n) + phase)
         if hann:
-            frame *= make_window(WindowKind.HANN, n).coefficients
+            frame *= make_window(WindowKind.HANN, n)
         energy = float(np.dot(frame, frame))  # r[0], up to a few subnormal units
         if energy < TINY * (1 - 1e-6):
             with pytest.raises(DegenerateFrame):
@@ -512,7 +516,7 @@ class TestLpcOracle:
     def test_subnormal_energy_is_silent_at_the_boundary(self):
         # a Hann sinusoid scaled so that r[0] sits just below, then just above,
         # the smallest normal float
-        shape = np.sin(0.3 * np.arange(400)) * make_window(WindowKind.HANN, 400).coefficients
+        shape = np.sin(0.3 * np.arange(400)) * make_window(WindowKind.HANN, 400)
         boundary = np.sqrt(TINY / np.dot(shape, shape))
         with pytest.raises(DegenerateFrame):
             lpc(boundary * (1 - 1e-6) * shape)
@@ -582,18 +586,19 @@ class TestBlocks:
     def test_polynomial_roots_rows_are_polynomial_calls(self, polynomials, tol):
         # a row is NaN exactly where its 1-D call raises; a zero last
         # coefficient would be deflated alone: NaN in a block, unchecked
-        got = polynomial_roots(np.stack(polynomials), residual_tol=tol)
-        assert got.shape == (len(polynomials), 12) and got.dtype == np.complex128
-        for row, poly in zip(got, polynomials):
-            if poly[-1] == 0.0:
-                assert np.isnan(row).all()
-                continue
-            try:
-                want = polynomial_roots(poly, residual_tol=tol)
-            except NumericalFailure:
-                assert np.isnan(row).all()
-                continue
-            assert row.tobytes() == want.tobytes()
+        with patch.object(lpc_module, "ROOT_RESIDUAL_TOL", tol):
+            got = polynomial_roots(np.stack(polynomials))
+            assert got.shape == (len(polynomials), 12) and got.dtype == np.complex128
+            for row, poly in zip(got, polynomials):
+                if poly[-1] == 0.0:
+                    assert np.isnan(row).all()
+                    continue
+                try:
+                    want = polynomial_roots(poly)
+                except NumericalFailure:
+                    assert np.isnan(row).all()
+                    continue
+                assert row.tobytes() == want.tobytes()
 
     def test_non_finite_rows_are_nan(self):
         block = np.stack([lpc_polynomial(lpc(np.sin(0.3 * np.arange(400))))] * 3)

@@ -14,7 +14,6 @@ from nlconfirm.featset import FeatureKind, FeatureSetConfig
 from nlconfirm.learn import (
     ModelBundle,
     SvmHyperParams,
-    decision_value,
     fit_normalizer,
     fit_pca,
     load_model,
@@ -22,7 +21,7 @@ from nlconfirm.learn import (
     save_model_json,
     train_svm,
 )
-from nlconfirm.learn.svm import _CHUNK_ELEMENTS
+from nlconfirm.learn.svm import _CHUNK_ELEMENTS, _decision
 
 
 def make_bundle(kind: FeatureKind, seed: int = 0) -> ModelBundle:
@@ -36,7 +35,7 @@ def make_bundle(kind: FeatureKind, seed: int = 0) -> ModelBundle:
         y[0] = -y[0]
     normalizer = fit_normalizer(x)
     z = normalizer.transform(x)
-    pca = fit_pca(z, 0.95) if config.uses_pca else None
+    pca = fit_pca(z) if config.uses_pca else None
     projected = pca.transform(z) if pca else z
     params = SvmHyperParams(C=1.0, eps=0.05, gamma=0.05)
     svm = train_svm(projected, y, params)
@@ -105,11 +104,11 @@ def test_decide_scores_one_vector_of_the_raw_dimension(kind):
     for width in (d - 1, d + 1):
         with pytest.raises(DimensionMismatch, match="raw dim"):
             bundle.decide(np.resize(row, width))
-    # the bits of decision_value on the normalizer's (and PCA's) transform
+    # the bits of svm._decision on the normalizer's (and PCA's) transform
     z = bundle.normalizer.transform(row)
     if bundle.pca is not None:
         z = bundle.pca.transform(z)
-    assert bundle.decide(row).hex() == decision_value(bundle.svm, z).hex()
+    assert bundle.decide(row).hex() == _decision(bundle.svm, z).hex()
     assert bundle.decide(row.tolist()).hex() == bundle.decide(row).hex()
 
 

@@ -1,6 +1,7 @@
 """SMO training, kernel identities and the decision function."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -11,13 +12,14 @@ from nlconfirm.errors import ConvergenceFailure, DimensionMismatch, SingleClass
 from nlconfirm.learn import (
     SvmHyperParams,
     SvmModel,
-    decision_value,
     rbf_kernel,
     train_svm,
 )
+from nlconfirm.learn import svm
 from nlconfirm.learn.svm import (
     _DISTANCE_CHUNK_ELEMENTS,
     _SNAP,
+    _decision,
     decision_values,
     smo_path,
     smo_solve,
@@ -129,10 +131,11 @@ class TestTraining:
         with pytest.raises(SingleClass):
             train_svm(x, np.ones(10), SvmHyperParams(C=1.0, eps=0.1, gamma=0.1))
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(svm, "MAX_ITERATIONS", 2)
         x, y = blobs(seed=2)
         with pytest.raises(ConvergenceFailure):
-            train_svm(x, y, SvmHyperParams(C=1.0, eps=1e-9, gamma=0.05), max_iterations=2)
+            train_svm(x, y, SvmHyperParams(C=1.0, eps=1e-9, gamma=0.05))
 
     def test_alphas_within_box_and_both_classes(self):
         x, y = blobs(separation=1.0, seed=3)  # overlapping -> bounded alphas
@@ -230,24 +233,25 @@ class TestSnapshotPath:
         x, y = training_data(shape, seed, n_per_class, separation)
         kernel = rbf_kernel(x, x, gamma)
         expected = [reference_smo(kernel, y, C, eps, max_iterations) for eps in tolerances]
-        if expected[int(np.argmin(tolerances))] is None:
-            with pytest.raises(ConvergenceFailure):
-                smo_path(kernel, y, C, tolerances, max_iterations)
-            with pytest.raises(ConvergenceFailure):
-                smo_solve(kernel, y, C, min(tolerances), max_iterations)
-            return
-        path = smo_path(kernel, y, C, tolerances, max_iterations)
-        assert len(path) == len(tolerances)
-        for eps, (alpha, bias, iterations), (ref_alpha, ref_bias, ref_iterations) in zip(
-                tolerances, path, expected):
-            # bytes, not ==: a bias of -0.0 for 0.0 changes the saved model
-            assert alpha.tobytes() == ref_alpha.tobytes()
-            assert np.float64(bias).tobytes() == np.float64(ref_bias).tobytes()
-            assert iterations == ref_iterations
-            solo = smo_solve(kernel, y, C, eps, max_iterations)
-            assert solo[0].tobytes() == ref_alpha.tobytes()
-            assert np.float64(solo[1]).tobytes() == np.float64(ref_bias).tobytes()
-            assert solo[2] == ref_iterations
+        with patch.object(svm, "MAX_ITERATIONS", max_iterations):
+            if expected[int(np.argmin(tolerances))] is None:
+                with pytest.raises(ConvergenceFailure):
+                    smo_path(kernel, y, C, tolerances)
+                with pytest.raises(ConvergenceFailure):
+                    smo_solve(kernel, y, C, min(tolerances))
+                return
+            path = smo_path(kernel, y, C, tolerances)
+            assert len(path) == len(tolerances)
+            for eps, (alpha, bias, iterations), (ref_alpha, ref_bias, ref_iterations) in zip(
+                    tolerances, path, expected):
+                # bytes, not ==: a bias of -0.0 for 0.0 changes the saved model
+                assert alpha.tobytes() == ref_alpha.tobytes()
+                assert np.float64(bias).tobytes() == np.float64(ref_bias).tobytes()
+                assert iterations == ref_iterations
+                solo = smo_solve(kernel, y, C, eps)
+                assert solo[0].tobytes() == ref_alpha.tobytes()
+                assert np.float64(solo[1]).tobytes() == np.float64(ref_bias).tobytes()
+                assert solo[2] == ref_iterations
 
     def test_cancelled_scores_keep_their_signed_zero(self):
         # one row per class: the first step cancels both scores to exactly zero and
@@ -310,17 +314,15 @@ class TestDecision:
 
     def test_peak_at_own_support_vector(self):
         model = self._two_vector_model()
-        assert decision_value(model, np.array([1.0, 0.0])) > 0
+        assert _decision(model, np.array([1.0, 0.0])) > 0
 
     def test_midpoint_equals_bias(self):
         model = self._two_vector_model()
         mid = np.array([0.0, 0.0])
-        assert decision_value(model, mid) == pytest.approx(model.bias, abs=1e-15)
+        assert _decision(model, mid) == pytest.approx(model.bias, abs=1e-15)
 
     def test_dimension_mismatch(self):
         model = self._two_vector_model()
-        with pytest.raises(DimensionMismatch):
-            decision_value(model, np.array([1.0, 2.0, 3.0]))
         with pytest.raises(DimensionMismatch):
             decision_values(model, np.ones((4, 3)))
 
@@ -329,5 +331,5 @@ class TestDecision:
         rng = np.random.default_rng(7)
         probes = rng.standard_normal((50, 2))
         batch = decision_values(model, probes)
-        singles = np.array([decision_value(model, p) for p in probes])
+        singles = np.array([_decision(model, p) for p in probes])
         assert batch.tobytes() == singles.tobytes()

@@ -12,33 +12,33 @@ from nlconfirm.errors import LengthMismatch
 
 class TestWindows:
     def test_hann_shape(self):
-        w = make_window(WindowKind.HANN, 401).coefficients
+        w = make_window(WindowKind.HANN, 401)
         assert w[0] == 0.0 and w[-1] == 0.0
         assert w[200] == 1.0
 
     def test_hann_on_ones_is_window(self):
         w = make_window(WindowKind.HANN, 401)
         out = apply_window(np.ones(401), w)
-        assert np.array_equal(out, w.coefficients)
+        assert np.array_equal(out, w)
 
     def test_blackman_harris_endpoint(self):
         # a0 - a1 + a2 - a3 for the 4-term -92 dB coefficients
-        w = make_window(WindowKind.BLACKMAN_HARRIS4, 400).coefficients
+        w = make_window(WindowKind.BLACKMAN_HARRIS4, 400)
         assert w[0] == pytest.approx(0.00006, abs=1e-12)
 
     def test_blackman_harris_peak(self):
-        w = make_window(WindowKind.BLACKMAN_HARRIS4, 401).coefficients
+        w = make_window(WindowKind.BLACKMAN_HARRIS4, 401)
         assert w[200] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", list(WindowKind))
     @pytest.mark.parametrize("length", [2, 3, 400, 401])
     def test_exact_symmetry(self, kind, length):
-        w = make_window(kind, length).coefficients
+        w = make_window(kind, length)
         assert np.array_equal(w, w[::-1])
 
     @pytest.mark.parametrize("kind", list(WindowKind))
     def test_max_at_most_one(self, kind):
-        w = make_window(kind, 400).coefficients
+        w = make_window(kind, 400)
         assert w.max() <= 1.0
 
     def test_length_mismatch(self):
@@ -61,7 +61,9 @@ class TestWindows:
             apply_window(np.ones(shape), w)
 
     def test_windows_cached(self):
-        assert make_window(WindowKind.HANN, 400) is make_window(WindowKind.HANN, 400)
+        w = make_window(WindowKind.HANN, 400)
+        assert w is make_window(WindowKind.HANN, 400)
+        assert not w.flags.writeable
 
 
 class TestPowerSpectrum:
