@@ -3,9 +3,9 @@
 Commands: synth-corpus, extract, train, grid-search, evaluate, classify,
 listen. `main` runs each one in a RunContext: it creates --out, and writes
 run_metadata.json from the metadata the command returns plus the
-configuration, the seed and timings: the run's duration and per-stage
-seconds and counters (see `stats`). --config values become the command's
-defaults, so any flag given on the command line wins.
+configuration, the seed, the `_native` bindings and timings: the run's
+duration and per-stage seconds and counters (see `stats`). --config values
+become the command's defaults, so any flag given on the command line wins.
 
 Exit codes: 0 success, 2 configuration error, 3 data error (including any
 OSError on an input or output path), 4 numerical error.
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _native
 from .corpus import (
     AudioSegment,
     Label,
@@ -75,6 +75,7 @@ class RunContext:
             "command": self.args.get("command"),
             "config": {k: v for k, v in self.args.items() if k != "command"},
             "duration_s": round(time.perf_counter() - self.started, 3),
+            "bindings": dict(_native.BINDINGS),
             **self.stats.to_dict(),
             **extra,
         }

@@ -8,24 +8,14 @@ filters. The real-typed solver returns real roots with an imaginary part
 of exactly 0, so a real root near -1 has angle pi and is no formant
 candidate.
 
-Every eigenvalue call goes through one seam, `_eigvals`, which calls the
-gufunc `numpy.linalg._umath_linalg.eigvals` with the real-input signature
-"d->D": the call `np.linalg.eigvals` itself makes, so the roots keep their
-bits. The wrapper around that call (rank, squareness, finiteness and type
-checks, a scan for an all-real result and a cast back) costs a large part
-of a 12 x 12 solve, once per streamed frame, and the chain has already
-made sure of everything it checks. The seam keeps the wrapper's one
-verdict: the gufunc marks a matrix whose eigenvalues do not converge with
-NaN and the floating-point invalid flag, which the seam turns into the
-same LinAlgError. Tests pin its bits to
-`np.linalg.eigvals(m).astype(np.complex128)`.
+Eigenvalues come from `_native.eigvals`, with the bits of `np.linalg.eigvals`.
 
 `lpc`, `lpc_polynomial`, `polynomial_roots`, `fix_roots` and `formants`
 also take a (k, ·) block, one frame (or polynomial, or root set) per row,
 and give each row the bits of a call on that row alone: the lags come from
 one batched product with the 1-D dot loop, Levinson runs across rows in the
 1-D order of operations, the companion matrices go to one stacked
-`_eigvals` call, and the picking is one masked sort. A row the 1-D
+`_native.eigvals` call, and the picking is one masked sort. A row the 1-D
 call would not finish comes back NaN: one it would reject (zero or
 subnormal energy, a root that misses the residual bound) or solve at a
 lower degree (a recursion that stops early, a zero last coefficient). The
@@ -40,8 +30,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import LinAlgError
 
+from .. import _native
 from ..corpus import SAMPLE_RATE
 from ..errors import DegenerateFrame, NumericalFailure
 
@@ -159,19 +150,19 @@ def polynomial_roots(coefficients: np.ndarray) -> np.ndarray:
     NaN or infinite coefficient (before any root is solved), when the
     companion row -c[1:] / c[0] overflows (a leading coefficient so small,
     subnormal say, that the row is not finite) and when the eigenvalues do
-    not converge (`_eigvals` raises LinAlgError). Leading zero coefficients
-    are dropped and trailing ones give roots at the origin; a polynomial
-    with neither (every LPC polynomial) skips that scan.
+    not converge (`_native.eigvals` raises LinAlgError). Leading zero
+    coefficients are dropped and trailing ones give roots at the origin; a
+    polynomial with neither (every LPC polynomial) skips that scan.
 
     A (k, m) block gives (k, m - 1) roots, each row bitwise that of its
     polynomial: the companion matrices of all rows go to one stacked
-    `_eigvals` call, and one Horner pass checks every root. Rows
+    `_native.eigvals` call, and one Horner pass checks every root. Rows
     the 1-D call would solve at a lower degree (a zero first or last
     coefficient), cannot solve (NaN or infinite coefficients) or would
     reject (an overflowing companion row, a root that misses the residual
     bound) are NaN; the block call itself does not raise NumericalFailure.
-    When the stacked `_eigvals` does not converge, that block's rows are
-    solved one by one, and the rows that do not converge alone are NaN.
+    When the stacked `_native.eigvals` does not converge, that block's rows
+    are solved one by one, and the rows that do not converge alone are NaN.
     """
     c = np.asarray(coefficients, dtype=np.float64)
     if c.ndim == 2:
@@ -187,12 +178,12 @@ def polynomial_roots(coefficients: np.ndarray) -> np.ndarray:
         companion = np.tile(_subdiagonal(m - 1), (len(c), 1, 1))
         companion[:, 0, :] = top[solvable]
         try:
-            found = _eigvals(companion)
+            found = _native.eigvals(companion)
         except LinAlgError:
             found = np.full((len(c), m - 1), np.nan, dtype=np.complex128)
             for i, matrix in enumerate(companion):
                 try:
-                    found[i] = _eigvals(matrix)
+                    found[i] = _native.eigvals(matrix)
                 except LinAlgError:
                     pass  # the row stays NaN
         # one Horner pass over all rows: [:, 0] is p(r), [:, 1] the bound
@@ -225,22 +216,6 @@ def polynomial_roots(coefficients: np.ndarray) -> np.ndarray:
     return _checked_roots(c, tail)
 
 
-def _eigvals(companions: np.ndarray) -> np.ndarray:
-    """Complex128 eigenvalues of a real (n, n) matrix or of each matrix of a (k, n, n) stack.
-
-    Calls the gufunc that `np.linalg.eigvals` calls, so the bits are those of
-    `np.linalg.eigvals(companions).astype(np.complex128)`, without its
-    checks and conversions. A matrix whose eigenvalues do not converge
-    leaves NaN and sets the invalid flag; that raises LinAlgError, as
-    `np.linalg.eigvals` does.
-    """
-    with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="raise"):
-        try:
-            return _umath_linalg.eigvals(companions, signature="d->D")
-        except FloatingPointError:
-            raise LinAlgError("Eigenvalues did not converge") from None
-
-
 @lru_cache(maxsize=16)
 def _subdiagonal(n: int) -> np.ndarray:
     """Read-only (n, n) companion-matrix template: ones on the sub-diagonal."""
@@ -267,7 +242,7 @@ def _checked_roots(c: np.ndarray, tail: int) -> np.ndarray:
         if not np.isfinite(companion[0]).all():  # the block call's test of its rows
             raise NumericalFailure(f"companion row of {c.tolist()} is not finite")
         try:
-            roots[:c.size - 1] = _eigvals(companion)
+            roots[:c.size - 1] = _native.eigvals(companion)
         except LinAlgError as exc:
             raise NumericalFailure(f"eigenvalues of the companion matrix of {c.tolist()} "
                                    "did not converge") from exc

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .. import _native
 from ..corpus import SAMPLE_RATE
 from .spectral import next_pow2
 from .windows import WindowKind, make_window
@@ -30,8 +31,8 @@ UNVOICED = 0.0
 
 
 def _autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
-    spec = np.fft.rfft(x, next_pow2(2 * x.size))
-    return np.fft.irfft(spec.real * spec.real + spec.imag * spec.imag)[: max_lag + 1]
+    spec = _native.rfft(x, next_pow2(2 * x.size))
+    return _native.irfft(spec.real * spec.real + spec.imag * spec.imag)[: max_lag + 1]
 
 
 @lru_cache(maxsize=None)

@@ -6,18 +6,7 @@ next power of two) -> 40 triangular mel filters between 20 and 7800 Hz ->
 floored log energies -> orthonormal DCT-II -> first 13 coefficients (the
 0th is kept).
 
-The FFT of `power_spectrum`, for one frame and for a block alike, goes
-through one seam, `_rfft`, which calls numpy's pocketfft gufunc
-(`numpy.fft._pocketfft_umath.rfft_n_even`, or `rfft_n_odd` for a
-one-point transform) with the scale factor 1 and a preallocated
-complex128 output of n_fft // 2 + 1 bins: the call `np.fft.rfft(x, n_fft)`
-itself makes, so the spectra keep their bits. The gufunc zero-pads the
-input to n_fft. The wrapper around that call (argument and norm checks,
-axis normalization, output allocation) costs about as much as a 512-point
-transform, once per streamed frame, and `power_spectrum` has already
-fixed everything it checks. Tests pin the seam's bits to `np.fft.rfft`
-for 1-D frames and (k, n) blocks. The 1-D `mfcc` also floors and logs
-its mel energies in place, with the same ufuncs as the block path.
+The FFT comes from `_native.rfft`, with the bits of `np.fft.rfft`.
 """
 
 from __future__ import annotations
@@ -25,8 +14,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.fft import _pocketfft_umath
 
+from .. import _native
 from ..corpus import SAMPLE_RATE
 
 N_MFCC = 13
@@ -40,16 +29,6 @@ def next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length() if n > 1 else 1
 
 
-def _rfft(x: np.ndarray, n_fft: int) -> np.ndarray:
-    """`np.fft.rfft(x, n_fft)` along the last axis of float64 `x`, through the gufunc it calls.
-
-    `x.shape[-1]` must be at least 1 and at most n_fft.
-    """
-    transform = _pocketfft_umath.rfft_n_even if n_fft % 2 == 0 else _pocketfft_umath.rfft_n_odd
-    out = np.empty(x.shape[:-1] + (n_fft // 2 + 1,), dtype=np.complex128)
-    return transform(x, 1, out=out)
-
-
 def power_spectrum(windowed: np.ndarray) -> np.ndarray:
     """Magnitude-squared spectrum, N/2+1 bins, zero-padded to a power of two.
 
@@ -59,7 +38,7 @@ def power_spectrum(windowed: np.ndarray) -> np.ndarray:
     x = np.asarray(windowed, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ValueError("empty input")
-    spec = _rfft(x, next_pow2(x.shape[-1]))
+    spec = _native.rfft(x, next_pow2(x.shape[-1]))
     power, imag = spec.real * spec.real, spec.imag
     np.multiply(imag, imag, out=imag)  # in the transform's own buffer
     power += imag

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import AudioSegment, Label, frame_stream
-from .errors import LengthMismatch, MissingClass
+from .errors import DataError, LengthMismatch, MissingClass
 from .featset import FeatureSetConfig, extract_matrix
 from .learn.cv_core import FoldResult, SpeakerFrames, weighted_accuracy
 from .learn.svm import SvmHyperParams
@@ -142,14 +142,18 @@ def speaker_frames(
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
     """ROC curve and trapezoid AUC from decision values and +1/-1 labels.
 
-    Thresholds sweep the unique score values from high to low; tied scores
-    flip together. Each tie group ends where the next sorted score differs;
-    the positives counted up to that end give tp, the rest fp.
+    Any other label is a DataError. Thresholds sweep the unique score values
+    from high to low; tied scores flip together. Each tie group ends where
+    the next sorted score differs; the positives counted up to that end give
+    tp, the rest fp.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.size != labels.size:
         raise LengthMismatch(f"{scores.size} scores vs {labels.size} labels")
+    bad = np.flatnonzero((labels != 1) & (labels != -1))
+    if bad.size:
+        raise DataError(f"label {labels[bad[0]].item()!r} at index {bad[0]} is not +1 or -1")
     n_pos = int(np.sum(labels > 0))
     n_neg = int(np.sum(labels < 0))
     if n_pos == 0 or n_neg == 0:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import _sigtools
 
+from . import _native
 from .corpus import (
     SAMPLE_RATE,
     AudioBuffer,
@@ -34,6 +34,8 @@ from .corpus import (
     write_manifest,
 )
 from .stats import Stats
+
+_native.bind_scipy()
 
 CONTROL_BLOCK = 160  # resonator coefficients update every 10 ms
 CONFIRMATION_FORMANTS = (350.0, 1400.0)  # F1, F2 centers of every confirmation token
@@ -86,30 +88,16 @@ def _pulse_train(f0_curve: np.ndarray) -> np.ndarray:
     return out
 
 
-def _filter_run(b: np.ndarray, a: np.ndarray, x: np.ndarray,
-                zi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`scipy.signal.lfilter(b, a, x, zi=zi)`: the filtered run and the final state.
-
-    Calls scipy's C filter `_sigtools._linear_filter` along the last axis,
-    the call `lfilter` itself makes for a denominator of more than one
-    term and a given `zi`, so the outputs keep their bits. The wrapper
-    around it (namespace lookup, argument checks) costs several times the
-    filtering of a 10 ms block; the resonators pass 1-D float64 arrays of
-    the shapes it would accept.
-    """
-    return _sigtools._linear_filter(b, a, x, -1, zi)
-
-
 def _resonate(x: np.ndarray, f1_curve: np.ndarray, f2_curve: np.ndarray,
               stats: Stats | None = None) -> np.ndarray:
     """Cascade of two 2-pole resonators with block-wise coefficient updates.
 
     Each CONTROL_BLOCK takes the coefficients of its curve value at the
     block midpoint. A run of consecutive blocks with equal coefficients is
-    filtered in one `_filter_run` call: the direct-form II transposed state
-    that a call returns is the state the next block starts from, so one
-    call over the run does the per-sample arithmetic of one call per
-    block, bit for bit. `stats`, if given, counts the calls (filter_calls).
+    filtered in one `_native.linear_filter` call (scipy's `lfilter`): the
+    direct-form II transposed state that a call returns is the state the
+    next block starts from, so one call over the run does the per-sample
+    arithmetic of one call per block, bit for bit. `stats` counts them (filter_calls).
     """
     starts = np.arange(0, x.size, CONTROL_BLOCK)
     mids = (starts + np.minimum(starts + CONTROL_BLOCK, x.size)) // 2
@@ -124,7 +112,7 @@ def _resonate(x: np.ndarray, f1_curve: np.ndarray, f2_curve: np.ndarray,
         out = np.empty_like(y)
         zi = np.zeros(2)
         for a, start, stop in zip(runs, bounds, bounds[1:]):
-            out[start:stop], zi = _filter_run(b, a, y[start:stop], zi)
+            out[start:stop], zi = _native.linear_filter(b, a, y[start:stop], zi)
         if stats is not None:
             stats.count("filter_calls", firsts.size)
         y = out

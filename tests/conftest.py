@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nlconfirm import _native
 from nlconfirm.corpus import (
     SAMPLE_RATE,
     AudioBuffer,
@@ -72,6 +73,20 @@ def resonator_signal(
             y2, y1 = y1, y[i]
         x = y
     return x / np.max(np.abs(x))
+
+
+@pytest.fixture(params=["private", "public"])
+def binding(request, monkeypatch):
+    """Runs a test under each binding of `_native`: as imported, then every name on its public wrapper.
+
+    Under @given, suppress Hypothesis's function_scoped_fixture check: one binding holds for
+    every example.
+    """
+    if request.param == "public":
+        for name, wrapper in _native.PUBLIC.items():
+            monkeypatch.setattr(_native, name, wrapper)
+            monkeypatch.setitem(_native.BINDINGS, name, "public")
+    return request.param
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import nlconfirm
-from nlconfirm import cli, synth
+from nlconfirm import _native, cli
 from nlconfirm.cli import main
 from nlconfirm.corpus import (
     AudioBuffer,
@@ -154,10 +154,13 @@ def test_run_metadata_records_stages_and_counters(corpus_dir, model_dir, tmp_pat
         assert sum(meta["stages"].values()) <= meta["duration_s"] + 1e-3
         assert meta["counters"]["frames"] == expected_frames, command
         assert 0 < meta["counters"]["vectors"] <= meta["counters"]["frames"]
+        assert meta["bindings"] == _native.BINDINGS, command
+        assert {"eigvals", "rfft", "irfft"} <= set(meta["bindings"]), command
+        assert set(meta["bindings"].values()) <= {"private", "public"}, command
     # synth-corpus counts its rows, the samples of its WAVs and its filter calls
     calls = []
-    filter_run = synth._filter_run
-    monkeypatch.setattr(synth, "_filter_run", lambda *a: calls.append(1) or filter_run(*a))
+    linear_filter = _native.linear_filter
+    monkeypatch.setattr(_native, "linear_filter", lambda *a: calls.append(1) or linear_filter(*a))
     out = tmp_path / "synth-corpus"
     assert run("synth-corpus", "--out", out, "--speakers", 3, "--segments-per-speaker", 6,
                "--confirmation-rate", 0.34, "--seed", 5) == 0
@@ -169,6 +172,9 @@ def test_run_metadata_records_stages_and_counters(corpus_dir, model_dir, tmp_pat
         "samples": sum(len(load_wav(wav)) for wav in (out / "wavs").glob("*.wav")),
         "filter_calls": len(calls),
     }
+    assert meta["bindings"] == _native.BINDINGS
+    assert set(meta["bindings"]) == {"eigvals", "rfft", "irfft", "linear_filter"}
+    assert set(meta["bindings"].values()) <= {"private", "public"}
 
 
 def test_evaluate_scores_equal_streamed_scores(corpus_dir, tmp_path, monkeypatch):
@@ -303,13 +309,15 @@ def test_segment_shorter_than_context_exits_3_naming_it(corpus_dir, model_dir, t
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # only synth-corpus needs scipy; every other command starts without it
+    # only synth-corpus needs scipy; every other command starts without it,
+    # and without scipy's filter bound
     env = {**os.environ, "PYTHONPATH": str(Path(nlconfirm.__file__).parents[1])}
     probe = ("import sys, nlconfirm.cli; "
-             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')], "
+             "sorted(nlconfirm._native.BINDINGS))")
     result = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                             capture_output=True, text=True)
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip() == "[] ['eigvals', 'irfft', 'rfft']"
 
 
 def test_out_of_range_value_from_config_file(corpus_dir, model_dir, tmp_path):

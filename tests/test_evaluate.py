@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlconfirm.corpus import Label
-from nlconfirm.errors import LengthMismatch, MissingClass
+from nlconfirm.errors import DataError, LengthMismatch, MissingClass
 from nlconfirm.evaluate import (
     CvReport,
     EvalReport,
@@ -141,6 +141,13 @@ class TestRoc:
         with pytest.raises(MissingClass):
             roc_auc(np.array([0.1, 0.2]), np.array([1, 1]))
 
+    @pytest.mark.parametrize("labels, first", [([1, 0, -1], "label 0 at index 1 is not"),
+                                                ([1, -1, 2.0, 0.5], "label 2.0 at index 2 is not")])
+    def test_a_label_other_than_plus_or_minus_one_is_a_data_error(self, labels, first):
+        # a 0 used to count as a false positive but not among the negatives: an AUC of 2.0
+        with pytest.raises(DataError, match=first):
+            roc_auc([1.0, 0.5, 0.0, -1.0][:len(labels)], labels)
+
     @settings(max_examples=60, deadline=None)
     @given(
         scores=st.lists(st.integers(-5, 5), min_size=2, max_size=60),
@@ -158,9 +165,9 @@ class TestRoc:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(
         st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(allow_nan=False)),
-        st.sampled_from([1, -1, 0])), min_size=2, max_size=80))
+        st.sampled_from([1, -1])), min_size=2, max_size=80))
     def test_bytes_equal_the_tie_group_loop(self, rows):
-        # ties, zero and -0.0 scores, and labels of 0 (counted as neither class)
+        # ties, zero and -0.0 scores
         scores = np.array([s for s, _ in rows])
         labels = np.array([y for _, y in rows])
         if not ((labels > 0).any() and (labels < 0).any()):

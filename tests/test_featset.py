@@ -25,7 +25,7 @@ from nlconfirm.dsp import (
     pitch_yin_fft,
     polynomial_roots,
 )
-from nlconfirm import featset
+from nlconfirm import _native, featset
 from nlconfirm.errors import NumericalFailure, SegmentTooShort
 from nlconfirm.featset import (
     DELTA_CONTEXT,
@@ -763,20 +763,21 @@ class TestOverflowRow:
 class TestEigvalsNoConvergence:
     """A frame whose companion matrix's eigenvalues do not converge, in a block and pushed."""
 
+    @pytest.mark.usefixtures("binding")
     def test_the_frame_gets_a_counted_zero_pair(self, monkeypatch):
         window = make_window(WindowKind.HANN, FRAME_LEN)
         frames = voiced_frames(20)
         windowed = [apply_window(f.samples, window) for f in frames]
         bad = 9
         top = -lpc_polynomial(lpc(windowed[bad]))[1:]  # the bad frame's companion row
-        eigvals = lpc_module._eigvals
+        eigvals = _native.eigvals
 
         def fails_on_the_bad_frame(matrices):
             if (matrices[..., 0, :] == top).all(axis=-1).any():
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return eigvals(matrices)
 
-        monkeypatch.setattr(lpc_module, "_eigvals", fails_on_the_bad_frame)
+        monkeypatch.setattr(_native, "eigvals", fails_on_the_bad_frame)
         alone = Stats()
         assert featset._formant_pair(windowed[bad], alone).tolist() == [0.0, 0.0]
         assert TestFormantCounters._counters(alone)["formant_root_failures"] == 1

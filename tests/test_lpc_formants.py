@@ -5,11 +5,12 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.linalg import _umath_linalg
 
+from nlconfirm import _native
 from nlconfirm.corpus import FRAME_LEN, HOP_LEN
 from nlconfirm.dsp import (
     LPC_ORDER,
@@ -138,11 +139,12 @@ class TestPolynomialRoots:
         roots = polynomial_roots([lead, 1.0])
         assert roots.tolist() == [complex(-1.0 / lead, 0.0)] and np.isfinite(roots).all()
 
+    @pytest.mark.usefixtures("binding")
     def test_eigenvalues_that_do_not_converge_are_a_numerical_failure(self, monkeypatch):
         def no_convergence(matrix):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(lpc_module, "_eigvals", no_convergence)
+        monkeypatch.setattr(_native, "eigvals", no_convergence)
         with pytest.raises(NumericalFailure, match="did not converge"):
             polynomial_roots([1.0, -3.0, 2.0])
 
@@ -173,17 +175,18 @@ def companion_stacks(draw):
     return np.stack(matrices)
 
 
+@pytest.mark.usefixtures("binding")
 class TestEigvalsSeam:
-    """`_eigvals` calls numpy's eigvals gufunc directly; both paths of polynomial_roots use it."""
+    """`_native.eigvals` has the bits of `np.linalg.eigvals`; both paths of polynomial_roots use it."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(companion_stacks())
     def test_bits_of_numpy_eigvals(self, stack):
         want = np.linalg.eigvals(stack).astype(np.complex128)
-        assert lpc_module._eigvals(stack).tobytes() == want.tobytes()
+        assert _native.eigvals(stack).tobytes() == want.tobytes()
         for matrix, row in zip(stack, want):
             single = np.linalg.eigvals(matrix).astype(np.complex128)
-            assert lpc_module._eigvals(matrix).tobytes() == single.tobytes()
+            assert _native.eigvals(matrix).tobytes() == single.tobytes()
             assert single.tobytes() == row.tobytes()
 
     def test_a_result_the_gufunc_marks_as_not_converged_is_a_failure(self, monkeypatch):
@@ -207,7 +210,7 @@ class TestEigvalsSeam:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.eigvals(companion)  # numpy reads the result the same way
         with pytest.raises(np.linalg.LinAlgError):
-            lpc_module._eigvals(companion)
+            _native.eigvals(companion)
         with pytest.raises(NumericalFailure, match="did not converge"):
             polynomial_roots(block[bad])
         got = polynomial_roots(block)
@@ -624,13 +627,14 @@ class TestBlocks:
         assert np.isnan(got[0]).all()
         assert got[1].tobytes() == polynomial_roots([np.nextafter(edge, 1.0), 1.0]).tobytes()
 
+    @pytest.mark.usefixtures("binding")
     def test_a_block_that_does_not_converge_is_solved_row_by_row(self, monkeypatch):
         rng = np.random.default_rng(8)
         window = make_window(WindowKind.HANN, FRAME_LEN)
         block = lpc_polynomial(lpc(apply_window(rng.uniform(-0.5, 0.5, (6, FRAME_LEN)), window)))
         want = [polynomial_roots(poly) for poly in block]
         bad = 2
-        eigvals, calls = lpc_module._eigvals, []
+        eigvals, calls = _native.eigvals, []
 
         def fails_on_the_bad_row(matrices):
             calls.append(matrices.ndim)
@@ -638,7 +642,7 @@ class TestBlocks:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return eigvals(matrices)
 
-        monkeypatch.setattr(lpc_module, "_eigvals", fails_on_the_bad_row)
+        monkeypatch.setattr(_native, "eigvals", fails_on_the_bad_row)
         got = polynomial_roots(block)
         assert calls == [3] + [2] * len(block)  # the stacked call, then one per row
         assert np.isnan(got[bad]).all()

@@ -5,16 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+from nlconfirm import _native
 from nlconfirm.corpus import SAMPLE_RATE, Label, load_segments, load_wav, parse_manifest
 from nlconfirm.synth import (
     CONTROL_BLOCK,
     POLE_RADIUS,
     SynthConfig,
-    _filter_run,
     _resonate,
     _shape_token,
     generate_corpus,
@@ -126,18 +126,19 @@ class TestResonateOracle:
         assert _resonate(x, f1, f2).tobytes() == resonate_per_block(x, f1, f2).tobytes()
 
     def test_a_constant_curve_takes_one_filter_call(self, monkeypatch):
-        calls = []
+        calls, linear_filter = [], _native.linear_filter
 
         def counted(*args):
             calls.append(args[2].size)
-            return _filter_run(*args)
+            return linear_filter(*args)
 
-        monkeypatch.setattr("nlconfirm.synth._filter_run", counted)
+        monkeypatch.setattr(_native, "linear_filter", counted)
         x = np.random.default_rng(0).normal(size=1000)
         _resonate(x, np.full(1000, 350.0), np.full(1000, 1400.0))
         assert calls == [1000, 1000]
 
-    @settings(max_examples=200, deadline=None)
+    @pytest.mark.usefixtures("binding")
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(n=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1),
            hz=st.floats(20.0, 7990.0), state=st.sampled_from(["zero", "random", "large"]))
     def test_filter_run_keeps_the_bits_of_lfilter(self, n, seed, hz, state):
@@ -149,7 +150,7 @@ class TestResonateOracle:
                       POLE_RADIUS * POLE_RADIUS])
         zi = {"zero": np.zeros(2), "random": rng.normal(size=2),
               "large": rng.normal(size=2) * 1e300}[state]
-        out, zf = _filter_run(np.ones(1), a, x, zi.copy())
+        out, zf = _native.linear_filter(np.ones(1), a, x, zi.copy())
         expected_out, expected_zf = lfilter(np.ones(1), a, x, zi=zi.copy())
         assert out.tobytes() == expected_out.tobytes()
         assert zf.tobytes() == expected_zf.tobytes()

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from nlconfirm import _native
 from nlconfirm.dsp import WindowKind, apply_window, make_window, power_spectrum
-from nlconfirm.dsp.spectral import _rfft, next_pow2
+from nlconfirm.dsp.spectral import next_pow2
 from nlconfirm.errors import LengthMismatch
 
 
@@ -110,10 +111,11 @@ class TestPowerSpectrum:
             power_spectrum(empty)
 
 
-class TestRfftSeam:
-    """`_rfft` is the one FFT call of `power_spectrum`: the bits of `np.fft.rfft`."""
+@pytest.mark.usefixtures("binding")
+class TestFftSeams:
+    """`_native.rfft` and `irfft`, the FFT calls of `power_spectrum` and pitch: the bits of `np.fft`."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(length=st.integers(1, 600), rows=st.one_of(st.none(), st.integers(1, 5)),
            pad=st.one_of(st.none(), st.integers(0, 40)), seed=st.integers(0, 2**32 - 1),
            scale=st.sampled_from([0.0, 1e-310, 1e-3, 1.0, 1e150]))
@@ -123,7 +125,7 @@ class TestRfftSeam:
         n_fft = next_pow2(length) if pad is None else length + pad
         shape = (length,) if rows is None else (rows, length)
         x = np.random.default_rng(seed).standard_normal(shape) * scale
-        spec = _rfft(x, n_fft)
+        spec = _native.rfft(x, n_fft)
         expected = np.fft.rfft(x, n_fft)
         assert spec.dtype == np.complex128 and spec.shape == expected.shape
         assert spec.tobytes() == expected.tobytes()
@@ -134,3 +136,19 @@ class TestRfftSeam:
             spec = np.fft.rfft(x, next_pow2(x.shape[-1]))
             expected = spec.real * spec.real + spec.imag * spec.imag
             assert power_spectrum(x).tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bins=st.integers(2, 1100), rows=st.one_of(st.none(), st.integers(1, 5)),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.0, 1e-310, 1e-3, 1.0, 1e150]),
+           real=st.booleans())
+    def test_bits_of_numpy_irfft(self, bins, rows, seed, scale, real):
+        # real inputs as pitch passes them (power spectra), complex as rfft gives them
+        shape = (bins,) if rows is None else (rows, bins)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape) * scale
+        if not real:
+            x = x + 1j * rng.standard_normal(shape) * scale
+        signal = _native.irfft(x)
+        expected = np.fft.irfft(x)
+        assert signal.dtype == np.float64 and signal.shape == expected.shape
+        assert signal.tobytes() == expected.tobytes()
