@@ -13,6 +13,8 @@ import importlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def _module(name: str, *attributes: str):
     """The module `name` if it imports and has every one of `attributes`, else None."""
@@ -68,8 +70,10 @@ BINDINGS = {name: "public" if globals()[name] is PUBLIC[name] else "private"
 
 
 def bind_scipy() -> None:
-    """Bind `linear_filter`, loading scipy; `synth` calls this at import."""
+    """Bind `linear_filter`, loading scipy (ConfigError without it); `synth` calls this at import."""
     global _sigtools, linear_filter
+    if _module("scipy.signal") is None:
+        raise ConfigError("synth-corpus needs scipy.signal: install the 'synth' extra")
     _sigtools = _module("scipy.signal._sigtools", "_linear_filter")
     linear_filter = _linear_filter if _sigtools else PUBLIC["linear_filter"]
     BINDINGS["linear_filter"] = "private" if _sigtools else "public"

@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Commands: synth-corpus, extract, train, grid-search, evaluate, classify,
-listen. `main` runs each one in a RunContext: it creates --out, and writes
-run_metadata.json from the metadata the command returns plus the
-configuration, the seed, the `_native` bindings and timings: the run's
-duration and per-stage seconds and counters (see `stats`). --config values
-become the command's defaults, so any flag given on the command line wins.
+listen. `main` runs each one in a RunContext, its Stats collecting (see
+`stats`): it creates --out, and writes run_metadata.json from the metadata
+the command returns plus the configuration, the seed, the `_native`
+bindings and timings: the run's duration and per-stage seconds and
+counters. --config values become the defaults, so a flag always wins.
 
 Exit codes: 0 success, 2 configuration error, 3 data error (including any
 OSError on an input or output path), 4 numerical error.
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _native
+from . import __version__, _native, stats
 from .corpus import (
     AudioSegment,
     Label,
@@ -119,7 +119,6 @@ def _choose_params(
     speakers: list[SpeakerFrames],
     config: FeatureSetConfig,
     args: argparse.Namespace,
-    stats: Stats,
 ) -> tuple[SvmHyperParams, GridSearchResult | None]:
     """The explicit --svm-* values, else the grid winner under --grid-search, else the default.
 
@@ -138,14 +137,13 @@ def _choose_params(
 # --- commands -----------------------------------------------------------------
 
 
-def _load_speakers(args: argparse.Namespace,
-                   stats: Stats) -> tuple[FeatureSetConfig, list[SpeakerFrames]]:
+def _load_speakers(args: argparse.Namespace) -> tuple[FeatureSetConfig, list[SpeakerFrames]]:
     """The one --features set, extracted per speaker from --manifest."""
     config = FeatureSetConfig(_single_kind(args.features))
     with stats.stage("load"):
         segments = load_segments(args.manifest)
     with stats.stage("extract"):
-        speakers = speaker_frames(segments, config, stats)
+        speakers = speaker_frames(segments, config)
     return config, speakers
 
 
@@ -158,15 +156,14 @@ def cmd_synth_corpus(args: argparse.Namespace, ctx: RunContext) -> dict:
         confirmation_rate=args.confirmation_rate,
         seed=args.seed,
     )
-    with ctx.stats.stage("synthesize"):
-        manifest = generate_corpus(ctx.out_dir, config, ctx.stats)
+    with stats.stage("synthesize"):
+        manifest = generate_corpus(ctx.out_dir, config)
     print(f"wrote {manifest}")
     return {"manifest": str(manifest)}
 
 
 def cmd_extract(args: argparse.Namespace, ctx: RunContext) -> dict:
     config = FeatureSetConfig(_single_kind(args.features))
-    stats = ctx.stats
     with stats.stage("load"):
         segments = load_segments(args.manifest)
     feature_dir = ctx.out_dir / "features"
@@ -174,7 +171,7 @@ def cmd_extract(args: argparse.Namespace, ctx: RunContext) -> dict:
     index = []
     for seg in segments:
         with stats.stage("extract"):
-            indices, matrix = extract_matrix(frame_stream(seg), config, stats)
+            indices, matrix = extract_matrix(frame_stream(seg), config)
         name = f"{seg.segment_id}.csv"
         with (feature_dir / name).open("w") as fh:
             np.savetxt(fh, matrix, fmt="%.12g", delimiter=",", comments="",
@@ -194,9 +191,9 @@ def cmd_extract(args: argparse.Namespace, ctx: RunContext) -> dict:
 
 
 def cmd_train(args: argparse.Namespace, ctx: RunContext) -> dict:
-    config, speakers = _load_speakers(args, ctx.stats)
-    params, searched = _choose_params(speakers, config, args, ctx.stats)
-    with ctx.stats.stage("fit"):
+    config, speakers = _load_speakers(args)
+    params, searched = _choose_params(speakers, config, args)
+    with stats.stage("fit"):
         bundle = fit_bundle(speakers, config, params, seed=args.seed)
     model_path = ctx.out_dir / "model.nlcm"
     save_model(bundle, model_path)
@@ -211,8 +208,8 @@ def cmd_train(args: argparse.Namespace, ctx: RunContext) -> dict:
 
 
 def cmd_grid_search(args: argparse.Namespace, ctx: RunContext) -> dict:
-    config, speakers = _load_speakers(args, ctx.stats)
-    with ctx.stats.stage("search"):
+    config, speakers = _load_speakers(args)
+    with stats.stage("search"):
         result = grid_search(speakers, config, seed=args.seed)
     rows = []
     print(f"{'C':>6} {'eps':>7} {'gamma':>7} {'weighted CV accuracy':>22}")
@@ -233,12 +230,11 @@ def _evaluate_kind(
     train_segments: list[AudioSegment],
     test_segments: list[AudioSegment],
     args: argparse.Namespace,
-    stats: Stats,
 ) -> EvalReport:
     config = FeatureSetConfig(kind)
     with stats.stage("extract"):
-        speakers = speaker_frames(train_segments, config, stats)
-    params, searched = _choose_params(speakers, config, args, stats)
+        speakers = speaker_frames(train_segments, config)
+    params, searched = _choose_params(speakers, config, args)
     if searched is not None:
         folds = searched.best_point.folds
     else:
@@ -249,7 +245,7 @@ def _evaluate_kind(
         bundle = fit_bundle(speakers, config, params, seed=args.seed)
 
     with stats.stage("classify"):
-        decisions = classify_offline(test_segments, bundle, args.majority_threshold, stats)
+        decisions = classify_offline(test_segments, bundle, args.majority_threshold)
     truth = [seg.label for seg in test_segments]
     scores = np.concatenate([d.frame_scores for d in decisions])
     labels = np.concatenate([np.full(d.frame_scores.size, label_sign(t))
@@ -274,7 +270,7 @@ def _evaluate_kind(
 
 def cmd_evaluate(args: argparse.Namespace, ctx: RunContext) -> dict:
     kinds = _feature_kinds(args.features)
-    with ctx.stats.stage("load"):
+    with stats.stage("load"):
         if args.test_manifest:
             train_segments = load_segments(args.manifest)
             test_segments = load_segments(args.test_manifest)
@@ -287,7 +283,7 @@ def cmd_evaluate(args: argparse.Namespace, ctx: RunContext) -> dict:
     print("-" * len(header))
     summary = []
     for kind in kinds:
-        report = _evaluate_kind(kind, train_segments, test_segments, args, ctx.stats)
+        report = _evaluate_kind(kind, train_segments, test_segments, args)
         dim = (f"{report.raw_dimension}->{report.model_dimension}"
                if report.model_dimension != report.raw_dimension else f"{report.raw_dimension}")
         cv_range = f"{report.cv.min_accuracy * 100:.1f}-{report.cv.max_accuracy * 100:.1f}"
@@ -303,12 +299,11 @@ def cmd_evaluate(args: argparse.Namespace, ctx: RunContext) -> dict:
 
 
 def cmd_classify(args: argparse.Namespace, ctx: RunContext) -> dict:
-    stats = ctx.stats
     with stats.stage("load"):
         bundle = load_model(args.model)
         segments = load_segments(args.manifest)
     with stats.stage("classify"):
-        decisions = classify_offline(segments, bundle, args.majority_threshold, stats)
+        decisions = classify_offline(segments, bundle, args.majority_threshold)
     frame_dir = ctx.out_dir / "frames"
     frame_dir.mkdir(parents=True, exist_ok=True)
     rows = list(zip(segments, decisions))
@@ -330,7 +325,6 @@ def cmd_classify(args: argparse.Namespace, ctx: RunContext) -> dict:
 
 
 def cmd_listen(args: argparse.Namespace, ctx: RunContext) -> dict:
-    stats = ctx.stats
     with stats.stage("load"):
         bundle = load_model(args.model)
         audio = load_wav(args.wav)
@@ -349,7 +343,7 @@ def cmd_listen(args: argparse.Namespace, ctx: RunContext) -> dict:
     audio_seconds = sum(len(s.samples) for s in segments) / audio.sample_rate
     with stats.stage("classify"):
         for segment in segments:
-            decision = classify_segment(segment, bundle, args.majority_threshold, stats)
+            decision = classify_segment(segment, bundle, args.majority_threshold)
             trigger = decision.trigger
             if trigger is not None:
                 events.append({
@@ -357,7 +351,7 @@ def cmd_listen(args: argparse.Namespace, ctx: RunContext) -> dict:
                     "trigger_time_ms": trigger_time_ms(segment, trigger.frame_index),
                     "rolling_mean": trigger.rolling_mean,
                 })
-    wall = stats.stages["classify"]
+    wall = ctx.stats.stages["classify"]
     rtf = wall / audio_seconds if audio_seconds else 0.0
     with (ctx.out_dir / "triggers.ndjson").open("w") as fh:
         for event in events:
@@ -536,7 +530,8 @@ def main(argv: list[str] | None = None) -> int:
         _check_ranges(args)
         ctx = RunContext(out_dir=Path(args.out), args=vars(args).copy())
         ctx.out_dir.mkdir(parents=True, exist_ok=True)
-        ctx.finish(_COMMANDS[args.command](args, ctx))
+        with ctx.stats.collecting():
+            ctx.finish(_COMMANDS[args.command](args, ctx))
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

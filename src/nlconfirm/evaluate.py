@@ -14,7 +14,6 @@ from .featset import FeatureSetConfig, extract_matrix
 from .learn.cv_core import FoldResult, SpeakerFrames, weighted_accuracy
 from .learn.svm import SvmHyperParams
 from .pipeline import SegmentDecision
-from .stats import Stats
 
 __all__ = [
     "ConfusionCounts", "RocCurve", "CvReport", "EvalReport", "SpeakerFrames",
@@ -98,15 +97,13 @@ def label_sign(label: Label) -> int:
     return 1 if label is Label.CONFIRMATION else -1
 
 
-def speaker_frames(
-    segments: list[AudioSegment], config: FeatureSetConfig, stats: Stats | None = None
-) -> list[SpeakerFrames]:
+def speaker_frames(segments: list[AudioSegment], config: FeatureSetConfig) -> list[SpeakerFrames]:
     """Extract per-speaker frame features; fold weight = confirmation segment count.
 
     Each segment goes through extraction as one block. Speakers without a
     confirmation segment are excluded, as are segments shorter than the
-    feature set's context. `stats`, if given, counts frames, vectors and
-    formant zero pairs.
+    feature set's context. Extraction counts frames, vectors and formant
+    zero pairs.
     """
     min_frames = config.required_context
     by_speaker: dict[str, list[AudioSegment]] = {}
@@ -123,7 +120,7 @@ def speaker_frames(
             frames = frame_stream(seg)
             if len(frames) < min_frames:
                 continue
-            _, rows = extract_matrix(frames, config, stats)
+            _, rows = extract_matrix(frames, config)
             blocks.append(rows)
             labels.append(np.full(len(rows), label_sign(seg.label)))
             if seg.label is Label.CONFIRMATION:

@@ -45,6 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import stats
 from .corpus import FRAME_LEN, Frame
 from .dsp import (
     FIRST_DERIVATIVE,
@@ -62,7 +63,6 @@ from .dsp import (
     polynomial_roots,
 )
 from .errors import DegenerateFrame, NumericalFailure, SegmentTooShort
-from .stats import Stats
 
 STACK_DEPTH = 15          # frames per stack / SD window
 DELTA_CONTEXT = 7         # Savitzky-Golay filter length
@@ -151,33 +151,31 @@ class FeatureVector:
     config: FeatureSetConfig
 
 
-def _formant_pair(windowed: np.ndarray, stats: Stats | None = None) -> np.ndarray:
+def _formant_pair(windowed: np.ndarray) -> np.ndarray:
     """(F1, F2) of one windowed frame.
 
     A frame that cannot give formants yields the zero pair (both formants
     absent) instead of aborting the stream: a frame of zero or subnormal
     energy (DegenerateFrame) or one whose LPC roots miss the residual bound
-    (NumericalFailure). `stats`, if given, counts zero pairs by cause:
-    formant_silent, formant_root_failures, and formant_no_candidate when
-    no root survives the formant filters.
+    (NumericalFailure). It counts zero pairs by cause: formant_silent,
+    formant_root_failures, and formant_no_candidate when no root survives
+    the formant filters.
     """
     try:
         roots = fix_roots(polynomial_roots(lpc_polynomial(lpc(windowed))))
     except DegenerateFrame:
-        if stats is not None:
-            stats.count("formant_silent")
+        stats.count("formant_silent")
         return np.zeros(2)
     except NumericalFailure:
-        if stats is not None:
-            stats.count("formant_root_failures")
+        stats.count("formant_root_failures")
         return np.zeros(2)
     pair = formants(roots)
-    if pair[0] == 0.0 and stats is not None:
+    if pair[0] == 0.0:
         stats.count("formant_no_candidate")
     return pair
 
 
-def _formant_rows(windowed: np.ndarray, stats: Stats | None = None) -> np.ndarray:
+def _formant_rows(windowed: np.ndarray) -> np.ndarray:
     """(k, 2) formant pairs of a (k, 400) block, each row bitwise `_formant_pair` of its frame.
 
     One call of each chain function serves the whole block. The rows it
@@ -188,10 +186,10 @@ def _formant_rows(windowed: np.ndarray, stats: Stats | None = None) -> np.ndarra
     """
     pairs = formants(fix_roots(polynomial_roots(lpc_polynomial(lpc(windowed)))))
     no_candidate = np.count_nonzero(pairs[:, 0] == 0.0)
-    if stats is not None and no_candidate:
+    if no_candidate:
         stats.count("formant_no_candidate", no_candidate)
     for i in np.flatnonzero(np.isnan(pairs[:, 0])):
-        pairs[i] = _formant_pair(windowed[i], stats)
+        pairs[i] = _formant_pair(windowed[i])
     return pairs
 
 
@@ -260,16 +258,14 @@ class StreamingExtractor:
     Beyond those few frames, only the last STACK_DEPTH base vectors are
     kept, in a contiguous buffer, plus a count of frames extracted since
     `reset`: memory and per-frame cost are constant in the segment length.
-    `stats`, if given, receives the formant zero-pair counters (see
-    `_formant_pair`).
+    Formant sets count zero pairs (`_formant_pair`), each counter from 0.
     """
 
-    def __init__(self, config: FeatureSetConfig, stats: Stats | None = None):
+    def __init__(self, config: FeatureSetConfig):
         self.config = config
-        self._stats = stats
         self._window = make_window(config.window_kind, FRAME_LEN)
         self._base, self._lift, _ = _RECIPES[config.kind]
-        if stats is not None and self._base == "formants":
+        if self._base == "formants":
             for name in _FORMANT_COUNTERS:
                 stats.count(name, 0)
         # rows [_end - min(_count, STACK_DEPTH), _end) are the latest base vectors
@@ -295,7 +291,7 @@ class StreamingExtractor:
         if self._base == "mfcc":
             rows = mfcc(windowed)
         elif self._base == "formants":
-            rows = (_formant_pair if one else _formant_rows)(windowed, self._stats)
+            rows = (_formant_pair if one else _formant_rows)(windowed)
         else:
             rows = np.array([pitch_yin_fft(w) for w in np.atleast_2d(windowed)])
         return rows.reshape(1 if one else len(windowed), -1)
@@ -390,14 +386,13 @@ class StreamingExtractor:
         return range(0), np.empty((0, self.config.raw_dimension))
 
 
-def extract_matrix(frames: Sequence[Frame], config: FeatureSetConfig,
-                   stats: Stats | None = None) -> tuple[range, np.ndarray]:
+def extract_matrix(frames: Sequence[Frame], config: FeatureSetConfig) -> tuple[range, np.ndarray]:
     """Frame indices and (n, d) feature rows of one segment, pushed as one block.
 
     Context-bearing kinds emit N - 14 vectors for N frames; the derivative
     set and the plain kinds emit N. Raises SegmentTooShort when the stream
     is shorter than the kind's required context; its message names the
-    segment. `stats`, if given, counts frames, vectors and formant zero pairs.
+    segment. It counts frames, vectors and formant zero pairs.
     """
     if len(frames) < config.required_context:
         ref = frames[0].segment_ref if frames else "(no frames)"
@@ -405,14 +400,13 @@ def extract_matrix(frames: Sequence[Frame], config: FeatureSetConfig,
             f"{ref}: {len(frames)} frames < required context {config.required_context} "
             f"for {config.kind.value}"
         )
-    extractor = StreamingExtractor(config, stats)
+    extractor = StreamingExtractor(config)
     indices, rows = extractor.push_block(frames)
     tail, tail_rows = extractor.finish()
     if tail:
         indices, rows = range(indices.start, tail.stop), np.concatenate((rows, tail_rows))
-    if stats is not None:
-        stats.count("frames", len(frames))
-        stats.count("vectors", len(rows))
+    stats.count("frames", len(frames))
+    stats.count("vectors", len(rows))
     return indices, rows
 
 

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import stats
 from .corpus import FRAME_MS, HOP_MS, AudioSegment, Frame, Label, frame_stream
 from .featset import StreamingExtractor, extract_matrix
 from .learn import ModelBundle
-from .stats import Stats
 
 VOTE_WINDOW = 5
 
@@ -91,11 +91,10 @@ class OnlineClassifier:
     itself is immutable and may back any number of concurrent classifiers.
     """
 
-    def __init__(self, bundle: ModelBundle, majority_threshold: float = 0.0,
-                 stats: Stats | None = None):
+    def __init__(self, bundle: ModelBundle, majority_threshold: float = 0.0):
         self.bundle = bundle
         self.majority_threshold = majority_threshold
-        self._extractor = StreamingExtractor(bundle.feature_config, stats)
+        self._extractor = StreamingExtractor(bundle.feature_config)
         self.state = OnlineState(majority_threshold=majority_threshold)
         self._segment_ref: str | None = None
         self._indices: list[int] = []
@@ -148,21 +147,19 @@ def classify_segment(
     segment: AudioSegment,
     bundle: ModelBundle,
     majority_threshold: float = 0.0,
-    stats: Stats | None = None,
 ) -> SegmentDecision:
     """Stream one segment frame by frame through the classifier (the online mode).
 
-    `stats`, if given, counts frames, vectors and formant zero pairs.
+    It counts frames, vectors and formant zero pairs.
     """
-    classifier = OnlineClassifier(bundle, majority_threshold, stats)
+    classifier = OnlineClassifier(bundle, majority_threshold)
     frames = frame_stream(segment)
     for frame in frames:
         classifier.push_frame(frame)
     classifier.finish_segment()
     decision = classifier.decision()
-    if stats is not None:
-        stats.count("frames", len(frames))
-        stats.count("vectors", decision.frame_scores.size)
+    stats.count("frames", len(frames))
+    stats.count("vectors", decision.frame_scores.size)
     return decision
 
 
@@ -170,19 +167,18 @@ def classify_offline(
     segments: list[AudioSegment],
     bundle: ModelBundle,
     majority_threshold: float = 0.0,
-    stats: Stats | None = None,
 ) -> list[SegmentDecision]:
     """Per-frame scores and vote-latched decisions for annotated segments.
 
     Each segment's rows are extracted in one block and scored in one
     `decide_many` call, which gives the streamed scores bit for bit; the
     vote rule is then replayed over them. Segments shorter than the feature
-    set's required context propagate SegmentTooShort. `stats`, if given,
-    counts frames, vectors and formant zero pairs.
+    set's required context propagate SegmentTooShort. Extraction counts
+    frames, vectors and formant zero pairs.
     """
     decisions = []
     for segment in segments:
-        indices, rows = extract_matrix(frame_stream(segment), bundle.feature_config, stats)
+        indices, rows = extract_matrix(frame_stream(segment), bundle.feature_config)
         scores = bundle.decide_many(rows)
         decisions.append(decision_from_scores(segment.segment_id, indices, scores,
                                               majority_threshold))

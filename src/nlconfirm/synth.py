@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _native
+from . import _native, stats
 from .corpus import (
     SAMPLE_RATE,
     AudioBuffer,
@@ -33,7 +33,6 @@ from .corpus import (
     wav_writer,
     write_manifest,
 )
-from .stats import Stats
 
 _native.bind_scipy()
 
@@ -88,8 +87,7 @@ def _pulse_train(f0_curve: np.ndarray) -> np.ndarray:
     return out
 
 
-def _resonate(x: np.ndarray, f1_curve: np.ndarray, f2_curve: np.ndarray,
-              stats: Stats | None = None) -> np.ndarray:
+def _resonate(x: np.ndarray, f1_curve: np.ndarray, f2_curve: np.ndarray) -> np.ndarray:
     """Cascade of two 2-pole resonators with block-wise coefficient updates.
 
     Each CONTROL_BLOCK takes the coefficients of its curve value at the
@@ -97,7 +95,7 @@ def _resonate(x: np.ndarray, f1_curve: np.ndarray, f2_curve: np.ndarray,
     filtered in one `_native.linear_filter` call (scipy's `lfilter`): the
     direct-form II transposed state that a call returns is the state the
     next block starts from, so one call over the run does the per-sample
-    arithmetic of one call per block, bit for bit. `stats` counts them (filter_calls).
+    arithmetic of one call per block, bit for bit. It counts the calls (filter_calls).
     """
     starts = np.arange(0, x.size, CONTROL_BLOCK)
     mids = (starts + np.minimum(starts + CONTROL_BLOCK, x.size)) // 2
@@ -113,8 +111,7 @@ def _resonate(x: np.ndarray, f1_curve: np.ndarray, f2_curve: np.ndarray,
         zi = np.zeros(2)
         for a, start, stop in zip(runs, bounds, bounds[1:]):
             out[start:stop], zi = _native.linear_filter(b, a, y[start:stop], zi)
-        if stats is not None:
-            stats.count("filter_calls", firsts.size)
+        stats.count("filter_calls", firsts.size)
         y = out
     return y
 
@@ -132,19 +129,17 @@ def _shape_token(token: np.ndarray, peak: float, noise_db: float, rng: np.random
     return np.clip(token, -1.0, 1.0, out=token)
 
 
-def _confirmation_token(rng: np.random.Generator, f0_median: float, cfg: SynthConfig,
-                        stats: Stats | None = None) -> np.ndarray:
+def _confirmation_token(rng: np.random.Generator, f0_median: float, cfg: SynthConfig) -> np.ndarray:
     n = _ms_to_samples(rng.uniform(300, 700))
     f0 = f0_median * (1.0 + rng.uniform(-0.02, 0.02))
     f1_c, f2_c = CONFIRMATION_FORMANTS
     f1 = np.full(n, f1_c + rng.uniform(-25, 25))
     f2 = np.full(n, f2_c + rng.uniform(-50, 50))
-    token = _resonate(_pulse_train(np.full(n, f0)), f1, f2, stats)
+    token = _resonate(_pulse_train(np.full(n, f0)), f1, f2)
     return _shape_token(token, rng.uniform(0.18, 0.32), cfg.noise_db, rng)
 
 
-def _other_token(rng: np.random.Generator, f0_median: float, cfg: SynthConfig,
-                 stats: Stats | None = None) -> np.ndarray:
+def _other_token(rng: np.random.Generator, f0_median: float, cfg: SynthConfig) -> np.ndarray:
     n = _ms_to_samples(rng.uniform(500, 3000))
     t = np.arange(n) / n
     # pitch excursion of at least +/-20 percent around the speaker median
@@ -158,18 +153,17 @@ def _other_token(rng: np.random.Generator, f0_median: float, cfg: SynthConfig,
     hi2 = lo2 + rng.uniform(400, 800)
     f1 = np.linspace(lo1, hi1, n) if rng.random() < 0.5 else np.linspace(hi1, lo1, n)
     f2 = np.linspace(lo2, hi2, n) if rng.random() < 0.5 else np.linspace(hi2, lo2, n)
-    token = _resonate(_pulse_train(f0), f1, f2, stats)
+    token = _resonate(_pulse_train(f0), f1, f2)
     return _shape_token(token, rng.uniform(0.18, 0.32), cfg.noise_db, rng)
 
 
-def generate_corpus(out_dir: str | Path, config: SynthConfig = SynthConfig(),
-                    stats: Stats | None = None) -> Path:
+def generate_corpus(out_dir: str | Path, config: SynthConfig = SynthConfig()) -> Path:
     """Write per-speaker WAVs plus manifest.csv and meta.json; returns the manifest path.
 
     Every speaker gets at least 2 confirmations, whatever the rate (see
     SynthConfig). Each gap and token is written to its speaker's WAV as it
-    is made, so memory is bounded by the longest token. `stats`, if given,
-    counts segments, samples (written to the WAVs, silence included) and
+    is made, so memory is bounded by the longest token. It counts
+    segments, samples (written to the WAVs, silence included) and
     filter_calls.
     """
     out_dir = Path(out_dir)
@@ -190,9 +184,9 @@ def generate_corpus(out_dir: str | Path, config: SynthConfig = SynthConfig(),
                 gap = np.zeros(_ms_to_samples(rng.uniform(300, 600)))
                 wav.writeframes(pcm16(AudioBuffer(gap)))
                 token = (
-                    _confirmation_token(rng, f0_median, config, stats)
+                    _confirmation_token(rng, f0_median, config)
                     if is_confirmation
-                    else _other_token(rng, f0_median, config, stats)
+                    else _other_token(rng, f0_median, config)
                 )
                 start = wav.tell()  # frames written so far
                 descriptors.append(SegmentDescriptor(
@@ -204,10 +198,8 @@ def generate_corpus(out_dir: str | Path, config: SynthConfig = SynthConfig(),
                 ))
                 wav.writeframes(pcm16(AudioBuffer(token)))
             wav.writeframes(pcm16(AudioBuffer(np.zeros(_ms_to_samples(400)))))
-            if stats is not None:
-                stats.count("samples", wav.tell())
-    if stats is not None:
-        stats.count("segments", len(descriptors))
+            stats.count("samples", wav.tell())
+    stats.count("segments", len(descriptors))
     manifest = out_dir / "manifest.csv"
     write_manifest(descriptors, manifest)
     (out_dir / "meta.json").write_text(json.dumps(config.to_dict(), indent=2))

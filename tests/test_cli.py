@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, defaults, parity and exit codes."""
 
+import ast
 import csv
 import json
 import os
@@ -195,10 +196,10 @@ def test_evaluate_scores_equal_streamed_scores(corpus_dir, tmp_path, monkeypatch
 
 
 def test_readme_library_example_runs(corpus_dir, model_dir, tmp_path, monkeypatch, capsys):
-    # the README's python block, run where it expects corpus/ and model/
+    # the README's python blocks, run where they expect corpus/ and model/
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    library_use = readme.split("## Library use", 1)[1]
-    code = library_use.split("```python\n", 1)[1].split("```", 1)[0]
+    library_use = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    code, counting = (block.split("```", 1)[0] for block in library_use.split("```python\n")[1:])
     shutil.copytree(corpus_dir, tmp_path / "corpus")
     shutil.copytree(model_dir, tmp_path / "model")
     monkeypatch.chdir(tmp_path)
@@ -206,12 +207,18 @@ def test_readme_library_example_runs(corpus_dir, model_dir, tmp_path, monkeypatc
     exec(compile(code, "README.md", "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     bundle = load_model(model_dir / "model.nlcm")
+    segments = load_segments(corpus_dir / "manifest.csv")
     expected = []
-    for segment in load_segments(corpus_dir / "manifest.csv"):
+    for segment in segments:
         trigger = classify_segment(segment, bundle).trigger
         if trigger is not None:
             expected.append(f"{segment.segment_id} confirmation at vote frame {trigger.frame_index}")
     assert expected and printed == expected
+    # the second block reads the counters of an offline classification
+    exec(compile(counting, "README.md", "exec"), {})
+    counters = ast.literal_eval(capsys.readouterr().out)
+    assert counters["frames"] == sum((len(s.samples) - 400) // 160 + 1 for s in segments)
+    assert {"vectors", "formant_silent", "formant_root_failures", "formant_no_candidate"} < set(counters)
 
 
 def test_grid_searched_cv_report_equals_folds_at_best_point(corpus_dir, tmp_path):
@@ -318,6 +325,18 @@ def test_cli_import_leaves_scipy_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                             capture_output=True, text=True)
     assert result.stdout.strip() == "[] ['eigvals', 'irfft', 'rfft']"
+
+
+def test_synth_corpus_without_scipy_exits_2_naming_the_extra(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(nlconfirm.__file__).parents[1])}
+    out = tmp_path / "corpus"
+    argv = ["synth-corpus", "--out", str(out), "--speakers", "1", "--segments-per-speaker", "2"]
+    probe = f"import sys; sys.modules['scipy'] = None; import nlconfirm.cli; sys.exit(nlconfirm.cli.main({argv!r}))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert "'synth' extra" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not list(out.rglob("*.wav"))
 
 
 def test_out_of_range_value_from_config_file(corpus_dir, model_dir, tmp_path):

@@ -471,8 +471,10 @@ class TestBlockPartition:
         sizes = data.draw(st.lists(st.integers(2, n), min_size=1, max_size=n), label="blocks")
         frames = special_frames(n, seed=n)
         pushed, blocked = Stats(), Stats()
-        want = stream(StreamingExtractor(config, pushed), frames)
-        got = _push_blocks(StreamingExtractor(config, blocked), _cut(frames, sizes))
+        with pushed.collecting():
+            want = stream(StreamingExtractor(config), frames)
+        with blocked.collecting():
+            got = _push_blocks(StreamingExtractor(config), _cut(frames, sizes))
         assert got[0] == want[0]
         assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
         assert blocked.counters == pushed.counters
@@ -494,9 +496,9 @@ class TestBlockPartition:
         assert indices == range(STACK_DEPTH - 1, STACK_DEPTH)  # the empty block consumed nothing
 
 
-def frame_by_frame(config: FeatureSetConfig, stats: Stats) -> StreamingExtractor:
+def frame_by_frame(config: FeatureSetConfig) -> StreamingExtractor:
     """An extractor that holds no warm-up frame: every push runs the per-frame chain."""
-    extractor = StreamingExtractor(config, stats)
+    extractor = StreamingExtractor(config)
     extractor._warm_up = extractor._warm_up[:0]
     return extractor
 
@@ -511,8 +513,12 @@ class TestWarmUp:
     def test_pushes_and_blocks_equal_frame_by_frame(self, kind, data):
         config = FeatureSetConfig(kind)
         warm_up = featset.DELTA_LAG if kind is FeatureKind.MFCC_DELTA else STACK_DEPTH - 1
+        # each extractor counts into its own Stats: held frames count when extracted
         held, pushed = Stats(), Stats()
-        extractor, reference = StreamingExtractor(config, held), frame_by_frame(config, pushed)
+        with held.collecting():
+            extractor = StreamingExtractor(config)
+        with pushed.collecting():
+            reference = frame_by_frame(config)
         lengths = data.draw(st.lists(st.integers(1, 2 * STACK_DEPTH + 2), min_size=1, max_size=3),
                             label="segment lengths")
         for s, n in enumerate(lengths):
@@ -521,35 +527,40 @@ class TestWarmUp:
                 # part of a warm-up, then reset: the held frames still count their zero pairs
                 warm = special_frames(warm_up, seed=s)[: data.draw(
                     st.integers(1, warm_up), label="warm-up frames")]
-                for target in (extractor, reference):
-                    for frame in warm:
-                        assert not target.push(frame)[0]
-                    target.reset()
+                for target, stats in ((extractor, held), (reference, pushed)):
+                    with stats.collecting():
+                        for frame in warm:
+                            assert not target.push(frame)[0]
+                        target.reset()
             sizes = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=n), label="blocks")
             indices, rows = [], []
-            for block in _cut(frames, sizes):  # a block of one is a push
-                if len(block) == 1:
-                    got, matrix = extractor.push(block[0])
-                else:
-                    got, matrix = extractor.push_block(block)
-                indices += got
-                rows += list(matrix)
-            got, matrix = extractor.finish()
-            want = stream(reference, frames)
+            with held.collecting():
+                for block in _cut(frames, sizes):  # a block of one is a push
+                    if len(block) == 1:
+                        got, matrix = extractor.push(block[0])
+                    else:
+                        got, matrix = extractor.push_block(block)
+                    indices += got
+                    rows += list(matrix)
+                got, matrix = extractor.finish()
+            with pushed.collecting():
+                want = stream(reference, frames)
             assert indices + list(got) == want[0]
             assert np.array(rows + list(matrix)).tobytes() == np.array(want[1]).tobytes()
             assert held.counters == pushed.counters
-            extractor.reset()
-            reference.reset()
+            with held.collecting():
+                extractor.reset()
+            with pushed.collecting():
+                reference.reset()
 
     def test_the_completing_push_extracts_one_block(self, monkeypatch):
         config = FeatureSetConfig(FeatureKind.STACKED_FORMANTS)
         calls = []
-        def rows(windowed, stats):
+        def rows(windowed):
             calls.append(len(windowed))
             return np.zeros((len(windowed), 2))
 
-        def pair(windowed, stats):
+        def pair(windowed):
             calls.append(1)
             return np.zeros(2)
 
@@ -610,8 +621,10 @@ class TestFormantRows:
     @given(formant_blocks())
     def test_block_equals_frame_by_frame(self, block):
         frame_stats, block_stats = Stats(), Stats()
-        want = np.array([featset._formant_pair(row, frame_stats) for row in block])
-        got = featset._formant_rows(block, block_stats)
+        with frame_stats.collecting():
+            want = np.array([featset._formant_pair(row) for row in block])
+        with block_stats.collecting():
+            got = featset._formant_rows(block)
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
         assert block_stats.counters == frame_stats.counters
@@ -649,10 +662,12 @@ class TestFormantCounters:
         frames = frames_from(samples)
         config = FeatureSetConfig(FeatureKind.STACKED_FORMANTS)
         block, pushed = Stats(), Stats()
-        extract_matrix(frames, config, block)
-        extractor = StreamingExtractor(config, pushed)
-        for frame in frames:
-            extractor.push(frame)
+        with block.collecting():
+            extract_matrix(frames, config)
+        with pushed.collecting():
+            extractor = StreamingExtractor(config)
+            for frame in frames:
+                extractor.push(frame)
         assert self._counters(block)["formant_silent"] == 16
         assert self._counters(block) == self._counters(pushed)
 
@@ -662,14 +677,14 @@ class TestFormantCounters:
                 return np.full((len(coefficients), 12), np.nan, dtype=np.complex128)
             raise NumericalFailure("residual")
         monkeypatch.setattr(featset, "polynomial_roots", fail)
-        stats = Stats()
-        extract_matrix(noise_frames(20), FeatureSetConfig(FeatureKind.FORMANT_SD), stats)
+        with Stats().collecting() as stats:
+            extract_matrix(noise_frames(20), FeatureSetConfig(FeatureKind.FORMANT_SD))
         assert self._counters(stats) == {
             "formant_silent": 0, "formant_root_failures": 20, "formant_no_candidate": 0}
 
     def test_other_kinds_add_no_formant_counters(self):
-        stats = Stats()
-        extract_matrix(noise_frames(20), FeatureSetConfig(FeatureKind.STACKED_MFCC), stats)
+        with Stats().collecting() as stats:
+            extract_matrix(noise_frames(20), FeatureSetConfig(FeatureKind.STACKED_MFCC))
         assert self._counters(stats) == {}
 
 
@@ -704,16 +719,18 @@ class TestResidualMissRow:
         rerun = []
         formant_pair = featset._formant_pair
 
-        def spy(w, stats=None):
+        def spy(w):
             rerun.append(w.tobytes())
-            return formant_pair(w, stats)
+            return formant_pair(w)
 
         monkeypatch.setattr(featset, "_formant_pair", spy)
         config = FeatureSetConfig(FeatureKind.STACKED_FORMANTS)
         block, pushed = Stats(), Stats()
-        _, rows = extract_matrix(segment, config, block)
+        with block.collecting():
+            _, rows = extract_matrix(segment, config)
         assert rerun == [windowed[bad].tobytes()]  # the block chain finished every other row
-        _, stream_rows = stream(StreamingExtractor(config, pushed), segment)
+        with pushed.collecting():
+            _, stream_rows = stream(StreamingExtractor(config), segment)
         assert rows.tobytes() == np.array(stream_rows).tobytes()
         formant_counters = TestFormantCounters._counters
         assert formant_counters(block) == formant_counters(pushed)
@@ -743,19 +760,19 @@ class TestOverflowRow:
         rerun = []
         formant_pair = featset._formant_pair
 
-        def spy(w, stats=None):
-            pair = formant_pair(w, stats)
+        def spy(w):
+            pair = formant_pair(w)
             rerun.append((w.tobytes(), pair.tolist()))
             return pair
 
         monkeypatch.setattr(featset, "_formant_pair", spy)
-        block = Stats()
-        _, rows = extract_matrix(frames, FeatureSetConfig(FeatureKind.FORMANT_SD), block)
+        with Stats().collecting() as block:
+            _, rows = extract_matrix(frames, FeatureSetConfig(FeatureKind.FORMANT_SD))
         assert rerun == [(windowed[bad].tobytes(), [0.0, 0.0])]  # the zero pair
         assert TestFormantCounters._counters(block)["formant_root_failures"] == 1
-        pushed = Stats()
-        _, stream_rows = stream(StreamingExtractor(FeatureSetConfig(FeatureKind.FORMANT_SD), pushed),
-                                frames)
+        with Stats().collecting() as pushed:
+            _, stream_rows = stream(StreamingExtractor(FeatureSetConfig(FeatureKind.FORMANT_SD)),
+                                    frames)
         assert rows.tobytes() == np.array(stream_rows).tobytes()
         assert TestFormantCounters._counters(block) == TestFormantCounters._counters(pushed)
 
@@ -778,14 +795,16 @@ class TestEigvalsNoConvergence:
             return eigvals(matrices)
 
         monkeypatch.setattr(_native, "eigvals", fails_on_the_bad_frame)
-        alone = Stats()
-        assert featset._formant_pair(windowed[bad], alone).tolist() == [0.0, 0.0]
+        with Stats().collecting() as alone:
+            assert featset._formant_pair(windowed[bad]).tolist() == [0.0, 0.0]
         assert TestFormantCounters._counters(alone)["formant_root_failures"] == 1
         config = FeatureSetConfig(FeatureKind.STACKED_FORMANTS)
         block, pushed = Stats(), Stats()
-        _, rows = extract_matrix(frames, config, block)
+        with block.collecting():
+            _, rows = extract_matrix(frames, config)
         assert rows[0][2 * bad: 2 * bad + 2].tolist() == [0.0, 0.0]  # frame 9 of vector 14
         assert TestFormantCounters._counters(block)["formant_root_failures"] == 1
-        _, stream_rows = stream(StreamingExtractor(config, pushed), frames)
+        with pushed.collecting():
+            _, stream_rows = stream(StreamingExtractor(config), frames)
         assert rows.tobytes() == np.array(stream_rows).tobytes()
         assert TestFormantCounters._counters(block) == TestFormantCounters._counters(pushed)

@@ -123,16 +123,16 @@ class TestModeParity:
         segments.append(_quiet_segment(rng))
         offline = classify_offline(segments, bundle)
         for segment, reference in zip(segments, offline):
-            stats = Stats()
-            online = OnlineClassifier(bundle, stats=stats)
-            events = []
-            for frame in frame_stream(segment):
-                event = online.push_frame(frame)
+            with Stats().collecting() as stats:
+                online = OnlineClassifier(bundle)
+                events = []
+                for frame in frame_stream(segment):
+                    event = online.push_frame(frame)
+                    if event:
+                        events.append(event)
+                event = online.finish_segment()
                 if event:
                     events.append(event)
-            event = online.finish_segment()
-            if event:
-                events.append(event)
             streamed = online.decision()
             assert streamed.decided_label == reference.decided_label
             assert streamed.trigger_frame == reference.trigger_frame
