@@ -4,12 +4,17 @@ Each name calls the C entry point of its public wrapper with the arguments
 the wrapper would pass: the wrapper's bits, without its checks, which cost
 about as much as one frame's work. Where numpy or scipy lacks one, the name
 binds to the wrapper in `PUBLIC`, slower. `BINDINGS` names what each took,
-for run_metadata.json. `linear_filter` loads scipy, so only `synth` binds it.
+for run_metadata.json. `linear_filter` needs scipy, so only `synth` binds it;
+it loads scipy's C filter extension alone, not the `scipy.signal` package,
+whose import loads some 530 scipy modules and a second BLAS.
 """
 
 from __future__ import annotations
 
 import importlib
+import importlib.machinery
+import importlib.util
+import sys
 
 import numpy as np
 
@@ -69,11 +74,41 @@ BINDINGS = {name: "public" if globals()[name] is PUBLIC[name] else "private"
             for name in ("eigvals", "rfft", "irfft")}
 
 
+def _extension(name: str, directory: str):
+    """The C extension module `name` loaded from `directory` alone, put in sys.modules; None if it does not load."""
+    loaders = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(directory, loaders).find_spec(name)
+    if spec is None:
+        return None
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError:
+        return None
+    sys.modules[name] = module  # a later `import scipy.signal` shares it
+    return module
+
+
 def bind_scipy() -> None:
-    """Bind `linear_filter`, loading scipy (ConfigError without it); `synth` calls this at import."""
+    """Bind `linear_filter` (ConfigError without scipy); `synth` calls this at import.
+
+    It loads scipy's `signal/_sigtools` C extension without importing scipy or
+    its `signal` package, or reuses it if it is loaded. Where that extension
+    does not load or lacks the filter (a None entry in sys.modules, a blocked
+    import, counts as not loading), it binds the public wrapper, importing
+    `scipy.signal` now (ConfigError if that fails too).
+    """
     global _sigtools, linear_filter
-    if _module("scipy.signal") is None:
+    scipy = importlib.util.find_spec("scipy")  # finds scipy without importing it
+    if scipy is None:
+        raise ConfigError("synth-corpus needs scipy: install the 'synth' extra")
+    name = "scipy.signal._sigtools"
+    if name in sys.modules:
+        _sigtools = sys.modules[name]
+    else:
+        _sigtools = _extension(name, f"{scipy.submodule_search_locations[0]}/signal")
+    _sigtools = _sigtools if hasattr(_sigtools, "_linear_filter") else None
+    if _sigtools is None and _module("scipy.signal", "lfilter") is None:
         raise ConfigError("synth-corpus needs scipy.signal: install the 'synth' extra")
-    _sigtools = _module("scipy.signal._sigtools", "_linear_filter")
     linear_filter = _linear_filter if _sigtools else PUBLIC["linear_filter"]
     BINDINGS["linear_filter"] = "private" if _sigtools else "public"

@@ -57,7 +57,8 @@ class AudioBuffer:
             raise UnsupportedFormat("audio must be a 1-D sample array")
         if self.sample_rate <= 0:
             raise UnsupportedFormat(f"invalid sample rate {self.sample_rate}")
-        if samples.size and (not np.isfinite(samples).all() or np.abs(samples).max() > 1.0):
+        # min and max are NaN if any sample is, and NaN fails both comparisons
+        if samples.size and not (-1.0 <= samples.min() and samples.max() <= 1.0):
             raise UnsupportedFormat("samples must be finite and within [-1, 1]")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
@@ -165,7 +166,8 @@ def load_wav(path: str | Path) -> AudioBuffer:
         # header-level rejects are format errors, anything else is corruption
         head = b""
         try:
-            head = path.open("rb").read(4)
+            with path.open("rb") as fh:
+                head = fh.read(4)
         except OSError:
             pass
         if head != b"RIFF":
@@ -177,13 +179,16 @@ def load_wav(path: str | Path) -> AudioBuffer:
         raise CorruptFile(f"{path}: chunk extends past the end of the file") from exc
     if len(data) < 2 * n_frames:
         raise CorruptFile(f"{path}: data chunk truncated ({len(data)} of {2 * n_frames} bytes)")
-    samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+    samples = np.frombuffer(data, dtype="<i2").astype(np.float64)
+    samples /= 32768.0  # in place: one float64 copy of the file at a time
     return AudioBuffer(samples, SAMPLE_RATE)
 
 
 def pcm16(audio: AudioBuffer) -> bytes:
     """Samples as 16-bit little-endian PCM: scaled by 32768, rounded, clipped."""
-    return np.clip(np.round(audio.samples * 32768.0), -32768, 32767).astype("<i2").tobytes()
+    scaled = audio.samples * 32768.0
+    np.round(scaled, out=scaled)
+    return np.clip(scaled, -32768, 32767, out=scaled).astype("<i2").tobytes()
 
 
 @contextmanager

@@ -80,9 +80,11 @@ _FADE.flags.writeable = False
 
 
 def _pulse_train(f0_curve: np.ndarray) -> np.ndarray:
-    phase = np.cumsum(f0_curve / SAMPLE_RATE)
+    """A unit pulse at the first sample and wherever the count of whole cycles grows."""
+    cycles = f0_curve / SAMPLE_RATE
+    np.floor(np.cumsum(cycles, out=cycles), out=cycles)
     out = np.zeros(f0_curve.size)
-    out[np.flatnonzero(np.diff(np.floor(phase)) > 0) + 1] = 1.0
+    out[np.flatnonzero(cycles[1:] > cycles[:-1]) + 1] = 1.0
     out[0] = 1.0
     return out
 
@@ -95,24 +97,23 @@ def _resonate(x: np.ndarray, f1_curve: np.ndarray, f2_curve: np.ndarray) -> np.n
     filtered in one `_native.linear_filter` call (scipy's `lfilter`): the
     direct-form II transposed state that a call returns is the state the
     next block starts from, so one call over the run does the per-sample
-    arithmetic of one call per block, bit for bit. It counts the calls (filter_calls).
+    arithmetic of one call per block, bit for bit. Both resonators filter
+    one copy of `x` in place, run by run. It counts the calls (filter_calls).
     """
     starts = np.arange(0, x.size, CONTROL_BLOCK)
     mids = (starts + np.minimum(starts + CONTROL_BLOCK, x.size)) // 2
     b = np.ones(1)
-    y = x
+    y = x.copy()
     for curve in (f1_curve, f2_curve):
         a1 = -2.0 * POLE_RADIUS * np.cos(2.0 * np.pi * curve[mids] / SAMPLE_RATE)
         firsts = np.flatnonzero(np.r_[True, a1[1:] != a1[:-1]])  # first block of each run
         runs = np.empty((firsts.size, 3))  # one row of denominator coefficients per run
         runs[:, 0], runs[:, 1], runs[:, 2] = 1.0, a1[firsts], POLE_RADIUS * POLE_RADIUS
         bounds = [*starts[firsts].tolist(), x.size]
-        out = np.empty_like(y)
         zi = np.zeros(2)
         for a, start, stop in zip(runs, bounds, bounds[1:]):
-            out[start:stop], zi = _native.linear_filter(b, a, y[start:stop], zi)
+            y[start:stop], zi = _native.linear_filter(b, a, y[start:stop], zi)
         stats.count("filter_calls", firsts.size)
-        y = out
     return y
 
 

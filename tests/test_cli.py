@@ -339,6 +339,20 @@ def test_synth_corpus_without_scipy_exits_2_naming_the_extra(tmp_path):
     assert not list(out.rglob("*.wav"))
 
 
+def test_synth_corpus_with_its_filter_extension_blocked_exits_2(tmp_path):
+    # no private filter and no scipy.signal for the public one: fail before writing
+    env = {**os.environ, "PYTHONPATH": str(Path(nlconfirm.__file__).parents[1])}
+    out = tmp_path / "corpus"
+    argv = ["synth-corpus", "--out", str(out), "--speakers", "1", "--segments-per-speaker", "2"]
+    probe = ("import sys; sys.modules['scipy.signal._sigtools'] = None; import nlconfirm.cli; "
+             f"sys.exit(nlconfirm.cli.main({argv!r}))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert "'synth' extra" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not list(out.rglob("*.wav"))
+
+
 def test_out_of_range_value_from_config_file(corpus_dir, model_dir, tmp_path):
     config = tmp_path / "run.conf"
     config.write_text("majority_threshold = 1\n")

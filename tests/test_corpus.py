@@ -1,6 +1,8 @@
 """Audio ingestion, VAD, framing and speaker splits."""
 
 import struct
+import tracemalloc
+import warnings
 import wave
 
 import numpy as np
@@ -123,6 +125,40 @@ class TestLoadWav:
                 wav.writeframes(pcm16(AudioBuffer(piece)))
         assert (tmp_path / "pieces.wav").read_bytes() == (tmp_path / "whole.wav").read_bytes()
         assert load_wav(tmp_path / "pieces.wav").samples[[10, 3000]].tolist() == [32767 / 32768, -1.0]
+
+    def test_non_riff_rejection_closes_the_file(self, tmp_path):
+        p = tmp_path / "junk.wav"
+        p.write_bytes(bytes(range(16)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(UnsupportedFormat, match="not a RIFF/WAVE file"):
+                load_wav(p)
+        assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_a_load_holds_the_pcm_bytes_and_one_float64_copy(self, tmp_path):
+        # 2 + 8 bytes a sample at the peak; a second float64 copy would add 8
+        n = 160_000
+        p = tmp_path / "ten_seconds.wav"
+        write_wav(p, AudioBuffer(np.random.default_rng(0).uniform(-1.0, 1.0, n)))
+        tracemalloc.start()
+        try:
+            audio = load_wav(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(audio) == n
+        assert peak < 11 * n
+
+
+@pytest.mark.parametrize("samples", [[0.5, np.nan], [np.inf, 0.0], [-np.inf], [1.0 + 1e-12], [-1.5, 0.0]])
+def test_audio_buffer_rejects_non_finite_or_out_of_range_samples(samples):
+    with pytest.raises(UnsupportedFormat, match="finite and within"):
+        AudioBuffer(np.array(samples))
+
+
+def test_audio_buffer_accepts_full_scale_and_empty_samples():
+    assert AudioBuffer(np.array([-1.0, 0.0, 1.0])).samples.tolist() == [-1.0, 0.0, 1.0]
+    assert len(AudioBuffer(np.array([]))) == 0
 
 
 class TestManifest:

@@ -15,6 +15,7 @@ from nlconfirm.synth import (
     CONTROL_BLOCK,
     POLE_RADIUS,
     SynthConfig,
+    _pulse_train,
     _resonate,
     _shape_token,
     generate_corpus,
@@ -123,7 +124,9 @@ class TestResonateOracle:
         x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=n)
         f1 = data.draw(formant_curve(n))
         f2 = data.draw(formant_curve(n))
+        given_x = x.copy()
         assert _resonate(x, f1, f2).tobytes() == resonate_per_block(x, f1, f2).tobytes()
+        assert x.tobytes() == given_x.tobytes()  # filtered in a copy
 
     def test_a_constant_curve_takes_one_filter_call(self, monkeypatch):
         calls, linear_filter = [], _native.linear_filter
@@ -154,6 +157,27 @@ class TestResonateOracle:
         expected_out, expected_zf = lfilter(np.ones(1), a, x, zi=zi.copy())
         assert out.tobytes() == expected_out.tobytes()
         assert zf.tobytes() == expected_zf.tobytes()
+
+
+def pulse_train_by_differences(f0_curve):
+    """The reference pulse train: a pulse where the floored cycle count steps up, and at sample 0."""
+    phase = np.cumsum(f0_curve / SAMPLE_RATE)
+    out = np.zeros(f0_curve.size)
+    out[np.flatnonzero(np.diff(np.floor(phase)) > 0) + 1] = 1.0
+    out[0] = 1.0
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 50_000), seed=st.integers(0, 2**32 - 1), f0=st.floats(50.0, 400.0),
+       depth=st.floats(0.0, 0.5), cycles=st.floats(0.0, 3.0))
+def test_pulse_train_in_place_equals_the_differences(n, seed, f0, depth, cycles):
+    # the curves of both token kinds: flat, and a sine around the speaker median
+    phase = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi)
+    f0_curve = f0 * (1.0 + depth * np.sin(2.0 * np.pi * cycles * np.arange(n) / n + phase))
+    given_curve = f0_curve.copy()
+    assert _pulse_train(f0_curve).tobytes() == pulse_train_by_differences(f0_curve).tobytes()
+    assert f0_curve.tobytes() == given_curve.tobytes()
 
 
 def shape_token_with_envelope(token, peak, noise_db, rng):
